@@ -5,8 +5,8 @@
 //! Three measurements over the NYT-family corpus:
 //!
 //! 1. **Build vs open** — the full index build
-//!    ([`EngineBuilder::build`]: partitioning, every inverted index,
-//!    the BK-tree) is timed against [`ranksim_core::load_engine`]
+//!    ([`EngineBuilder::build`]: partitioning, every inverted index)
+//!    is timed against [`ranksim_core::load_engine`]
 //!    re-opening the same engine from its snapshot, in both
 //!    [`LoadMode::Verify`] (per-section CRC) and [`LoadMode::Trust`]
 //!    (structural checks only). The headline number is the open/build
@@ -78,7 +78,7 @@ pub struct PersistBenchReport {
     pub n: usize,
     /// Ranking size.
     pub k: usize,
-    /// Full index build (every structure + BK-tree), seconds.
+    /// Full index build (every structure), seconds.
     pub build_s: f64,
     /// [`ranksim_core::save_engine`] wall seconds.
     pub save_s: f64,
@@ -125,13 +125,12 @@ impl PersistBenchReport {
 }
 
 /// Builds the full-fat engine the experiment snapshots: every inverted
-/// index, both coarse indexes at the paper's settings, and the top-k
-/// BK-tree — the worst case for a cold rebuild.
+/// index and both coarse indexes at the paper's settings — the worst
+/// case for a cold rebuild.
 fn build_full(bench: &Bench) -> Engine {
     EngineBuilder::new(bench.ds.store.clone())
         .coarse_threshold(0.5)
         .coarse_drop_threshold(0.06)
-        .topk_tree(true)
         .build()
 }
 

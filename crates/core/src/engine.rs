@@ -42,11 +42,11 @@ use ranksim_invindex::{
     BlockedPruneExecutor, FvDropExecutor, FvExecutor, ListMergeExecutor, PlainIndexParts,
     PlainInvertedIndex, PostingOrder,
 };
-use ranksim_metricspace::{knn_bktree, knn_linear, query_pairs_into, BkTree, BkTreeParts};
+use ranksim_metricspace::{knn_linear, query_pairs_into, KnnHeap};
 use ranksim_rankings::{
-    footrule_pairs, raw_threshold, validate_items, ExecStats, ItemId, ItemRemap, Kernel,
-    QueryExecutor, QueryScratch, QueryStats, Ranking, RankingError, RankingId, RankingStore,
-    RemapParts, StoreParts,
+    footrule_pairs, max_distance, raw_threshold, validate_items, ExecStats, ItemId, ItemRemap,
+    Kernel, QueryExecutor, QueryScratch, QueryStats, Ranking, RankingError, RankingId,
+    RankingStore, RemapParts, StoreParts,
 };
 
 /// Process-wide generation source: every engine build, compaction and
@@ -232,7 +232,6 @@ struct EngineConfig {
     coarse_theta_c: f64,
     coarse_theta_c_drop: Option<f64>,
     selected: Option<Vec<Algorithm>>,
-    topk_tree: bool,
     calibrated: Option<CalibratedCosts>,
     /// Auto-compaction trigger: compact once base tombstones exceed this
     /// fraction of the base live size (`f64::INFINITY` disables).
@@ -264,7 +263,6 @@ impl EngineBuilder {
                 coarse_theta_c: 0.5,
                 coarse_theta_c_drop: None,
                 selected: None,
-                topk_tree: false,
                 calibrated: None,
                 compact_tombstone_fraction: 0.5,
                 planner_refresh_budget: 1024,
@@ -310,12 +308,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Additionally builds a corpus-wide BK-tree accelerating
-    /// [`Engine::query_topk`]. Off by default: threshold queries never
-    /// touch it, and [`Engine::query_topk`] falls back to an exact linear
-    /// scan when the tree is absent.
-    pub fn topk_tree(mut self, build_tree: bool) -> Self {
-        self.config.topk_tree = build_tree;
+    /// No-op, kept only because the out-of-workspace `benchmark/` package
+    /// still calls it: [`Engine::query_topk`] has a single path that needs
+    /// no index of its own, so there is nothing left to switch.
+    pub fn topk_tree(self, _build_tree: bool) -> Self {
         self
     }
 
@@ -376,7 +372,6 @@ impl EngineBuilder {
             adapt: parts.adapt,
             coarse: parts.coarse,
             coarse_drop: parts.coarse_drop,
-            tree: parts.tree,
             executors: parts.executors,
             planner: parts.planner,
             config,
@@ -399,7 +394,6 @@ struct EngineParts {
     adapt: Option<Arc<AdaptSearchIndex>>,
     coarse: Option<Arc<CoarseIndex>>,
     coarse_drop: Option<Arc<CoarseIndex>>,
-    tree: Option<BkTree>,
     executors: Vec<Option<Box<dyn QueryExecutor>>>,
     planner: Option<Planner>,
 }
@@ -482,7 +476,6 @@ fn build_parts(store: &RankingStore, config: &EngineConfig, remap: Arc<ItemRemap
             drop_theta,
         ))
     });
-    let tree = config.topk_tree.then(|| BkTree::build(store));
     let executors = build_executor_table(
         &plain,
         &augmented,
@@ -515,7 +508,6 @@ fn build_parts(store: &RankingStore, config: &EngineConfig, remap: Arc<ItemRemap
         adapt,
         coarse,
         coarse_drop,
-        tree,
         executors,
         planner,
     }
@@ -588,7 +580,6 @@ pub(crate) struct EngineConfigParts {
     pub coarse_theta_c_drop: Option<f64>,
     /// Dense slots ([`Algorithm::dense_index`]); `u32::MAX` = `Auto`.
     pub selected: Option<Vec<u32>>,
-    pub topk_tree: bool,
     pub calibrated: Option<(f64, f64)>,
     pub compact_tombstone_fraction: f64,
     pub planner_refresh_budget: u64,
@@ -618,7 +609,6 @@ pub(crate) struct EnginePersistParts {
     pub adapt: Option<AdaptIndexParts>,
     pub coarse: Option<CoarseIndexParts>,
     pub coarse_drop: Option<CoarseIndexParts>,
-    pub tree: Option<BkTreeParts>,
     pub planner: Option<PlannerSaved>,
     pub delta: Vec<u32>,
     pub delta_pos: Vec<u32>,
@@ -637,8 +627,6 @@ pub struct Engine {
     coarse: Option<Arc<CoarseIndex>>,
     /// Separately tuned coarse index for `CoarseDrop`, if configured.
     coarse_drop: Option<Arc<CoarseIndex>>,
-    /// Corpus-wide BK-tree for top-k queries (built on request).
-    tree: Option<BkTree>,
     /// One executor per built index structure, indexed by
     /// [`Algorithm::dense_index`].
     executors: Vec<Option<Box<dyn QueryExecutor>>>,
@@ -744,7 +732,6 @@ impl Engine {
             adapt: self.adapt.clone(),
             coarse: self.coarse.clone(),
             coarse_drop: self.coarse_drop.clone(),
-            tree: self.tree.clone(),
             executors: build_executor_table(
                 &self.plain,
                 &self.augmented,
@@ -780,7 +767,6 @@ impl Engine {
                     .selected
                     .as_ref()
                     .map(|sel| sel.iter().map(encode_alg).collect()),
-                topk_tree: self.config.topk_tree,
                 calibrated: self
                     .config
                     .calibrated
@@ -796,7 +782,6 @@ impl Engine {
             adapt: self.adapt.as_ref().map(|i| i.export_parts()),
             coarse: self.coarse.as_ref().map(|i| i.export_parts()),
             coarse_drop: self.coarse_drop.as_ref().map(|i| i.export_parts()),
-            tree: self.tree.as_ref().map(|t| t.export_parts()),
             planner: self.planner.as_ref().map(|p| p.to_saved()),
             delta: self.delta.iter().map(|id| id.0).collect(),
             delta_pos: self.delta_pos.clone(),
@@ -863,7 +848,6 @@ impl Engine {
             .map(|p| CoarseIndex::from_parts(p, remap.clone()))
             .transpose()?
             .map(Arc::new);
-        let tree = parts.tree.map(BkTree::from_parts).transpose()?;
         if let Some(s) = &parts.planner {
             check_k(s.k, "planner")?;
         }
@@ -888,7 +872,6 @@ impl Engine {
             coarse_theta_c: parts.config.coarse_theta_c,
             coarse_theta_c_drop: parts.config.coarse_theta_c_drop,
             selected,
-            topk_tree: parts.config.topk_tree,
             calibrated: parts.config.calibrated.map(|(f, m)| CalibratedCosts {
                 footrule_ns: f,
                 merge_posting_ns: m,
@@ -947,7 +930,6 @@ impl Engine {
             adapt,
             coarse,
             coarse_drop,
-            tree,
             executors,
             planner,
             config,
@@ -992,9 +974,8 @@ impl Engine {
     /// id tables) for `n` further insertions, pinning the allocation
     /// points of [`Engine::insert_ranking`] / [`Engine::remove_ranking`]
     /// to arena growth only: after this call, the next `n` mutations
-    /// perform zero heap allocations on an engine without a top-k tree
-    /// and planner (tree node arenas and the planner's statistic refresh
-    /// have their own growth points).
+    /// perform zero heap allocations on an engine without a planner (the
+    /// planner's statistic refresh has its own growth points).
     pub fn reserve_mutations(&mut self, n: usize) {
         self.store.reserve_rankings(n);
         self.delta.reserve(n);
@@ -1004,9 +985,8 @@ impl Engine {
     /// Inserts a ranking into the live corpus, returning its (fresh,
     /// monotonically increasing) id. The ranking lands in the delta
     /// overlay — every algorithm sees it immediately via exact linear
-    /// validation, the top-k tree absorbs it natively — and is folded
-    /// into the CSR arenas by the next [`Engine::compact`]. Items must be
-    /// `k` pairwise-distinct ids.
+    /// validation — and is folded into the CSR arenas by the next
+    /// [`Engine::compact`]. Items must be `k` pairwise-distinct ids.
     pub fn insert_ranking(&mut self, items: &[ItemId]) -> RankingId {
         Self::validate_items(items, self.store.k());
         let id = self.store.push_items_unchecked(items);
@@ -1026,8 +1006,8 @@ impl Engine {
     }
 
     /// Tombstones ranking `id`: it disappears from every query result
-    /// immediately (emission-time filtering; postings and tree nodes stay
-    /// until compaction) and its slot is quarantined for reuse after the
+    /// immediately (emission-time filtering; postings stay until
+    /// compaction) and its slot is quarantined for reuse after the
     /// next compaction. Triggers an automatic [`Engine::compact`] once
     /// base tombstones exceed the configured fraction. Returns `false`
     /// when `id` was not live.
@@ -1041,8 +1021,7 @@ impl Engine {
         let dp = self.delta_pos[id.index()];
         if dp > 0 {
             // Delta entries leave the overlay outright — nothing else
-            // references them... except an absorbed top-k tree node,
-            // which the store's quarantine keeps sound either way.
+            // references them.
             let pos = (dp - 1) as usize;
             self.delta.swap_remove(pos);
             self.delta_pos[id.index()] = 0;
@@ -1091,7 +1070,6 @@ impl Engine {
         self.adapt = parts.adapt;
         self.coarse = parts.coarse;
         self.coarse_drop = parts.coarse_drop;
-        self.tree = parts.tree;
         self.executors = parts.executors;
         self.planner = parts.planner;
         self.delta.clear();
@@ -1124,9 +1102,6 @@ impl Engine {
         }
         self.delta.push(id);
         self.delta_pos[id.index()] = self.delta.len() as u32;
-        if let Some(tree) = &mut self.tree {
-            tree.insert(&self.store, id);
-        }
         if let Some(planner) = &mut self.planner {
             planner.note_insert(self.store.items(id));
         }
@@ -1310,9 +1285,18 @@ impl Engine {
     /// is the lexicographically smallest set of `(distance, id)` pairs,
     /// so ties at the last distance resolve to the smallest ids — the
     /// invariant [`crate::shard::ShardedEngine`] relies on to merge
-    /// per-shard answers bit-identically. Uses the BK-tree when
-    /// [`EngineBuilder::topk_tree`] built one, otherwise an exact linear
-    /// scan.
+    /// per-shard answers bit-identically. `neighbours` is bounded by the
+    /// live corpus size.
+    ///
+    /// k-NN by range queries of growing radius (Chen et al.): exact
+    /// threshold rounds at `θ_raw = k, 2k, 4k, …` run through the same
+    /// executors (tombstones and delta overlay included) until one
+    /// returns at least `neighbours` rankings. Everything a round did not
+    /// return is farther than everything it did, so the nearest
+    /// `neighbours` of the returned set are the answer. A ranking sharing
+    /// no item with the query sits at exactly `max_distance(k)`, which no
+    /// inverted list reaches: when even `max_distance(k) − 1` yields too
+    /// few, the remainder is filled by the exact linear scan.
     pub fn query_topk(
         &self,
         query: &[ItemId],
@@ -1325,18 +1309,51 @@ impl Engine {
             self.store.k(),
             "query size must match the corpus ranking size"
         );
-        if self.store.live_len() == 0 || neighbours == 0 {
+        let neighbours = neighbours.min(self.store.live_len());
+        if neighbours == 0 {
             return Vec::new();
         }
-        scratch.ensure_generation(self.generation);
-        query_pairs_into(query, &mut scratch.qp);
-        // Both paths track the live corpus natively: the BK-tree absorbs
-        // every insert (`register_insert`) and skips tombstoned nodes at
-        // offer time; the linear scan enumerates live ids directly.
-        match &self.tree {
-            Some(tree) => knn_bktree(tree, &self.store, &scratch.qp, neighbours, stats),
-            None => knn_linear(&self.store, &scratch.qp, neighbours, stats),
+        let k = self.store.k();
+        let results_before = stats.results;
+        let mut within = Vec::new();
+        // `ALL` runs from the baselines to the paper's best techniques:
+        // without a planner, take the last one that was built.
+        let executor = if self.planner.is_some() {
+            Some(Algorithm::Auto)
+        } else {
+            Algorithm::ALL.into_iter().rev().find(|a| {
+                let slot = a.dense_index().expect("concrete algorithm");
+                self.executors[slot].is_some()
+            })
+        };
+        if let Some(algorithm) = executor {
+            let widest = max_distance(k) - 1;
+            let mut theta_raw = k as u32;
+            loop {
+                self.query_into(algorithm, query, theta_raw, scratch, stats, &mut within);
+                if within.len() >= neighbours || theta_raw == widest {
+                    break;
+                }
+                theta_raw = (theta_raw * 2).min(widest);
+            }
         }
+        query_pairs_into(query, &mut scratch.qp);
+        let nearest = if within.len() >= neighbours {
+            let mut heap = KnnHeap::new(neighbours);
+            for &id in &within {
+                stats.count_distance();
+                heap.offer(
+                    footrule_pairs(&scratch.qp, self.store.sorted_pairs(id), k),
+                    id,
+                );
+            }
+            heap.into_sorted()
+        } else {
+            knn_linear(&self.store, &scratch.qp, neighbours, stats)
+        };
+        // The rounds' own result counts are not this query's results.
+        stats.results = results_before + nearest.len() as u64;
+        nearest
     }
 
     /// Heap footprint of the engine: the corpus store plus every built
@@ -1351,7 +1368,6 @@ impl Engine {
             + self.adapt.as_ref().map_or(0, |i| i.heap_bytes())
             + self.coarse.as_ref().map_or(0, |i| i.heap_bytes())
             + self.coarse_drop.as_ref().map_or(0, |i| i.heap_bytes())
-            + self.tree.as_ref().map_or(0, |t| t.heap_bytes())
             + self.planner.as_ref().map_or(0, |p| p.heap_bytes())
             + self.delta.capacity() * std::mem::size_of::<RankingId>()
             + self.delta_pos.capacity() * std::mem::size_of::<u32>()
@@ -1519,20 +1535,14 @@ mod tests {
     }
 
     #[test]
-    fn topk_tree_and_linear_scan_agree_exactly() {
+    fn topk_rounds_and_linear_scan_agree_exactly() {
         let ds = nyt_like(800, 10, 19);
         let domain = ds.params.domain;
-        let with_tree = EngineBuilder::new(ds.store.clone())
-            .algorithms(&[Algorithm::Fv])
-            .topk_tree(true)
-            .build();
-        let without = EngineBuilder::new(ds.store)
+        let engine = EngineBuilder::new(ds.store)
             .algorithms(&[Algorithm::Fv])
             .build();
-        assert!(with_tree.tree.is_some());
-        assert!(without.tree.is_none());
         let wl = workload(
-            with_tree.store(),
+            engine.store(),
             domain,
             WorkloadParams {
                 num_queries: 8,
@@ -1540,25 +1550,27 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut s1 = with_tree.scratch();
-        let mut s2 = without.scratch();
+        let mut scratch = engine.scratch();
         for q in &wl.queries {
+            let qp = ranksim_metricspace::query_pairs(q);
             for kn in [1usize, 5, 25, 2000] {
                 let mut st = QueryStats::new();
-                let a = with_tree.query_topk(q, kn, &mut s1, &mut st);
-                let b = without.query_topk(q, kn, &mut s2, &mut st);
+                let a = engine.query_topk(q, kn, &mut scratch, &mut st);
+                let b = knn_linear(engine.store(), &qp, kn, &mut QueryStats::new());
                 assert_eq!(a, b, "kn={kn}");
                 assert_eq!(a.len(), kn.min(800));
                 assert!(
                     a.windows(2).all(|w| w[0] < w[1]),
                     "strictly ascending pairs"
                 );
+                assert_eq!(st.results, a.len() as u64, "rounds leaked result counts");
+                assert_eq!(st.tree_nodes_visited, 0);
             }
         }
         // k = 0 and the trivial self-query edge.
         let mut st = QueryStats::new();
-        assert!(with_tree
-            .query_topk(&wl.queries[0], 0, &mut s1, &mut st)
+        assert!(engine
+            .query_topk(&wl.queries[0], 0, &mut scratch, &mut st)
             .is_empty());
     }
 
@@ -1568,7 +1580,6 @@ mod tests {
         let mut engine = EngineBuilder::new(ds.store.clone())
             .coarse_threshold(0.5)
             .coarse_drop_threshold(0.06)
-            .topk_tree(true)
             .calibrated_costs(CalibratedCosts::nominal(10))
             .compaction_threshold(f64::INFINITY)
             .build();

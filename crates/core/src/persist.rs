@@ -2,9 +2,9 @@
 //!
 //! A snapshot captures a built [`Engine`]'s entire flat state — the
 //! ranking store and slot lifecycle, the item remap, every CSR posting
-//! arena, the tree node planes, the coarse index tables, the planner's
-//! learned state and the mutation overlay — so a restart *opens* the
-//! corpus instead of rebuilding it. The paper's indexes are all flat
+//! arena, the coarse index tables, the planner's learned state and the
+//! mutation overlay — so a restart *opens* the corpus instead of
+//! rebuilding it. The paper's indexes are all flat
 //! `Vec<u32>` planes, so the format is a thin container around them:
 //!
 //! ```text
@@ -59,8 +59,9 @@ use ranksim_rankings::{RankingId, RemapParts, StoreParts};
 
 /// File magic: "RSSN" (RankSim SNapshot).
 pub const MAGIC: [u8; 4] = *b"RSSN";
-/// Current container format version.
-pub const FORMAT_VERSION: u32 = 2;
+/// Current container format version; every other version is refused
+/// (v3 dropped the top-k tree section and its two build flags).
+pub const FORMAT_VERSION: u32 = 3;
 
 const HEADER_LEN: usize = 16;
 const ENTRY_LEN: usize = 32;
@@ -76,7 +77,6 @@ const SEC_BLOCKED: u32 = 6;
 const SEC_ADAPT: u32 = 7;
 const SEC_COARSE: u32 = 8;
 const SEC_COARSE_DROP: u32 = 9;
-const SEC_TREE: u32 = 10;
 const SEC_PLANNER: u32 = 11;
 const SEC_DELTA: u32 = 12;
 /// Sharded-deployment manifest (directory, medoids, per-shard map).
@@ -93,7 +93,6 @@ fn section_name(tag: u32) -> Option<&'static str> {
         SEC_ADAPT => "adaptsearch",
         SEC_COARSE => "coarse",
         SEC_COARSE_DROP => "coarse-drop",
-        SEC_TREE => "tree",
         SEC_PLANNER => "planner",
         SEC_DELTA => "delta",
         SEC_MANIFEST => "manifest",
@@ -116,7 +115,7 @@ pub enum PersistError {
     /// is set when the bytes are the magic in reverse order — a file
     /// written by a hypothetical big-endian writer.
     BadMagic { found: [u8; 4], byte_swapped: bool },
-    /// The container version is newer than this reader understands.
+    /// The container version is not the one this reader understands.
     UnsupportedVersion(u32),
     /// A section table entry carries a tag this reader does not know.
     UnknownSection(u32),
@@ -664,7 +663,6 @@ fn enc_meta(meta: SnapshotMeta, cfg: &EngineConfigParts) -> Vec<u8> {
     put_f64(&mut out, cfg.coarse_theta_c_drop.unwrap_or(0.0));
     put_bool(&mut out, cfg.selected.is_some());
     put_u32_arr(&mut out, cfg.selected.as_deref().unwrap_or(&[]));
-    put_bool(&mut out, cfg.topk_tree);
     put_bool(&mut out, cfg.calibrated.is_some());
     let (ca, cb) = cfg.calibrated.unwrap_or((0.0, 0.0));
     put_f64(&mut out, ca);
@@ -687,7 +685,6 @@ fn dec_meta(payload: &[u8]) -> Result<(SnapshotMeta, EngineConfigParts), Persist
     let drop_theta = c.f64()?;
     let has_selected = c.boolean()?;
     let selected = c.u32_arr()?;
-    let topk_tree = c.boolean()?;
     let has_calibrated = c.boolean()?;
     let ca = c.f64()?;
     let cb = c.f64()?;
@@ -702,7 +699,6 @@ fn dec_meta(payload: &[u8]) -> Result<(SnapshotMeta, EngineConfigParts), Persist
             coarse_theta_c,
             coarse_theta_c_drop: has_drop.then_some(drop_theta),
             selected: has_selected.then_some(selected),
-            topk_tree,
             calibrated: has_calibrated.then_some((ca, cb)),
             compact_tombstone_fraction,
             planner_refresh_budget,
@@ -896,19 +892,6 @@ fn dec_bktree_from(c: &mut Cur<'_>) -> Result<BkTreeParts, PersistError> {
     })
 }
 
-fn enc_tree(p: &BkTreeParts) -> Vec<u8> {
-    let mut out = Vec::new();
-    enc_bktree_into(&mut out, p);
-    out
-}
-
-fn dec_tree(payload: &[u8]) -> Result<BkTreeParts, PersistError> {
-    let mut c = Cur::new(payload, "tree");
-    let p = dec_bktree_from(&mut c)?;
-    c.finish()?;
-    Ok(p)
-}
-
 const EMPTY_BKTREE: BkTreeParts = BkTreeParts {
     rankings: Vec::new(),
     subtree_sizes: Vec::new(),
@@ -1099,9 +1082,6 @@ fn engine_sections(parts: &EnginePersistParts, meta: SnapshotMeta) -> Vec<(u32, 
     if let Some(p) = &parts.coarse_drop {
         sections.push((SEC_COARSE_DROP, enc_coarse(p)));
     }
-    if let Some(p) = &parts.tree {
-        sections.push((SEC_TREE, enc_tree(p)));
-    }
     if let Some(p) = &parts.planner {
         sections.push((SEC_PLANNER, enc_planner(p)));
     }
@@ -1143,7 +1123,6 @@ fn decode_engine(bytes: &[u8], mode: LoadMode) -> Result<(Engine, SnapshotMeta),
         coarse_drop: get(SEC_COARSE_DROP)
             .map(|p| dec_coarse(p, "coarse-drop"))
             .transpose()?,
-        tree: get(SEC_TREE).map(dec_tree).transpose()?,
         planner: get(SEC_PLANNER).map(dec_planner).transpose()?,
         delta,
         delta_pos,
@@ -1171,7 +1150,6 @@ fn enc_manifest(p: &ShardedPersistParts) -> Vec<u8> {
     put_f64(&mut out, cfg.coarse_theta_c_drop.unwrap_or(0.0));
     put_bool(&mut out, cfg.selected.is_some());
     put_u32_arr(&mut out, cfg.selected.as_deref().unwrap_or(&[]));
-    put_bool(&mut out, cfg.topk_trees);
     put_bool(&mut out, cfg.calibrated.is_some());
     let (ca, cb) = cfg.calibrated.unwrap_or((0.0, 0.0));
     put_f64(&mut out, ca);
@@ -1210,7 +1188,6 @@ fn dec_manifest(payload: &[u8]) -> Result<ShardedPersistParts, PersistError> {
     let drop_theta = c.f64()?;
     let has_selected = c.boolean()?;
     let selected = c.u32_arr()?;
-    let topk_trees = c.boolean()?;
     let has_calibrated = c.boolean()?;
     let ca = c.f64()?;
     let cb = c.f64()?;
@@ -1248,7 +1225,6 @@ fn dec_manifest(payload: &[u8]) -> Result<ShardedPersistParts, PersistError> {
             coarse_theta_c,
             coarse_theta_c_drop: has_drop.then_some(drop_theta),
             selected: has_selected.then_some(selected),
-            topk_trees,
             calibrated: has_calibrated.then_some((ca, cb)),
             compact_tombstone_fraction: has_compact.then_some(compact),
             planner_refresh_budget: has_refresh.then_some(refresh),

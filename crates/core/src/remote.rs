@@ -841,17 +841,21 @@ impl RemoteShardedEngine {
             "query size must match the corpus ranking size"
         );
         self.stats.queries += 1;
-        if neighbours == 0 || self.workers.is_empty() {
+        let live: usize = self.workers.iter().map(|w| w.hello.live as usize).sum();
+        let bounded = neighbours.min(live);
+        if bounded == 0 {
             return Ok(Vec::new());
         }
         let mut req = Vec::with_capacity(9 + 4 * query.len());
         req.push(OP_TOPK);
-        put_u32(&mut req, neighbours as u32);
+        // The wire carries the caller's count, saturated: each worker
+        // bounds it by its own live size, as every engine does.
+        put_u32(&mut req, u32::try_from(neighbours).unwrap_or(u32::MAX));
         put_u32(&mut req, query.len() as u32);
         for item in query {
             put_u32(&mut req, item.0);
         }
-        let mut merge = KnnHeap::new(neighbours);
+        let mut merge = KnnHeap::new(bounded);
         for wi in 0..self.workers.len() {
             let resp = self.request(wi, &req)?;
             let shard = self.workers[wi].shard;
@@ -995,9 +999,11 @@ impl RemoteShardedEngine {
                 hello.shard
             )));
         }
-        if hello.live as usize != globals.len() {
+        // The manifest maps every local *slot*; rankings removed before
+        // the save leave dead slots, so live may fall short of it.
+        if hello.live as usize > globals.len() {
             return Err(handshake_err(format!(
-                "worker serves {} live rankings, manifest maps {}",
+                "worker serves {} live rankings, manifest maps only {} slots",
                 hello.live,
                 globals.len()
             )));

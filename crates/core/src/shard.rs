@@ -98,7 +98,6 @@ struct ShardConfig {
     coarse_theta_c: f64,
     coarse_theta_c_drop: Option<f64>,
     selected: Option<Vec<Algorithm>>,
-    topk_trees: bool,
     calibrated: Option<crate::CalibratedCosts>,
     compact_tombstone_fraction: Option<f64>,
     planner_refresh_budget: Option<usize>,
@@ -109,9 +108,7 @@ struct ShardConfig {
 
 impl ShardConfig {
     fn build_engine(&self, store: RankingStore) -> Engine {
-        let mut b = EngineBuilder::new(store)
-            .coarse_threshold(self.coarse_theta_c)
-            .topk_tree(self.topk_trees);
+        let mut b = EngineBuilder::new(store).coarse_threshold(self.coarse_theta_c);
         if let Some(t) = self.coarse_theta_c_drop {
             b = b.coarse_drop_threshold(t);
         }
@@ -209,7 +206,6 @@ impl ShardedEngineBuilder {
                 coarse_theta_c: 0.5,
                 coarse_theta_c_drop: None,
                 selected: None,
-                topk_trees: false,
                 calibrated: None,
                 compact_tombstone_fraction: None,
                 planner_refresh_budget: None,
@@ -245,11 +241,9 @@ impl ShardedEngineBuilder {
         self
     }
 
-    /// Builds a per-shard BK-tree accelerating
-    /// [`ShardedEngine::query_topk`] (falls back to exact per-shard
-    /// linear scans when off; results are identical either way).
-    pub fn topk_trees(mut self, build_trees: bool) -> Self {
-        self.config.topk_trees = build_trees;
+    /// No-op, kept only because the out-of-workspace `benchmark/` package
+    /// still calls it: top-k needs no per-shard index of its own.
+    pub fn topk_trees(self, _build_trees: bool) -> Self {
         self
     }
 
@@ -803,9 +797,11 @@ impl ShardedEngine {
             self.k,
             "query size must match the corpus ranking size"
         );
-        if neighbours == 0 || self.is_empty() {
+        let neighbours = neighbours.min(self.live_len());
+        if neighbours == 0 {
             return Vec::new();
         }
+        let results_before = stats.results;
         let mut merge = KnnHeap::new(neighbours);
         for shard in &self.shards {
             let Some(engine) = &shard.engine else {
@@ -815,7 +811,10 @@ impl ShardedEngine {
                 merge.offer(d, shard.global[local.index()]);
             }
         }
-        merge.into_sorted()
+        let nearest = merge.into_sorted();
+        // Per-shard candidates that lost the merge are not results.
+        stats.results = results_before + nearest.len() as u64;
+        nearest
     }
 
     /// Processes `queries` with `algorithm` at one raw threshold across
@@ -968,7 +967,6 @@ pub(crate) struct ShardConfigParts {
     pub coarse_theta_c: f64,
     pub coarse_theta_c_drop: Option<f64>,
     pub selected: Option<Vec<u32>>,
-    pub topk_trees: bool,
     pub calibrated: Option<(f64, f64)>,
     pub compact_tombstone_fraction: Option<f64>,
     pub planner_refresh_budget: Option<u64>,
@@ -1023,7 +1021,6 @@ impl ShardedEngine {
                     .selected
                     .as_ref()
                     .map(|sel| sel.iter().map(encode_alg).collect()),
-                topk_trees: self.config.topk_trees,
                 calibrated: self
                     .config
                     .calibrated
@@ -1123,7 +1120,6 @@ impl ShardedEngine {
             coarse_theta_c: config.coarse_theta_c,
             coarse_theta_c_drop: config.coarse_theta_c_drop,
             selected,
-            topk_trees: config.topk_trees,
             calibrated: config.calibrated.map(|(f, m)| crate::CalibratedCosts {
                 footrule_ns: f,
                 merge_posting_ns: m,
@@ -1341,7 +1337,7 @@ mod tests {
     #[test]
     fn sharded_topk_matches_monolith_exactly() {
         let ds = nyt_like(700, 10, 13);
-        let engine = EngineBuilder::new(ds.store.clone()).topk_tree(true).build();
+        let engine = EngineBuilder::new(ds.store.clone()).build();
         let wl = workload(
             &ds.store,
             ds.params.domain,
@@ -1401,14 +1397,12 @@ mod tests {
         let mut engine = EngineBuilder::new(ds.store.clone())
             .coarse_threshold(0.5)
             .calibrated_costs(CalibratedCosts::nominal(10))
-            .topk_tree(true)
             .build();
         for strategy in [ShardStrategy::Hash, ShardStrategy::Medoid] {
             let ds = nyt_like(500, 10, 53);
             let mut b = ShardedEngineBuilder::new(10, 3, strategy)
                 .coarse_threshold(0.5)
                 .calibrated_costs(CalibratedCosts::nominal(10))
-                .topk_trees(true)
                 .rebalance(RebalanceConfig {
                     auto: false,
                     ..Default::default()
@@ -1502,7 +1496,6 @@ mod tests {
         }
         let engine = EngineBuilder::new(store)
             .algorithms(&[Algorithm::Fv, Algorithm::ListMerge])
-            .topk_tree(true)
             .build();
         let before = sharded.shard_live_sizes();
         assert!(sharded.rebalance(), "skew above 1.5× mean must trigger");

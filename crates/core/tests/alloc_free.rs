@@ -220,7 +220,6 @@ fn steady_state_query_into_performs_zero_allocations() {
         .coarse_threshold(0.5)
         .coarse_drop_threshold(0.06)
         .compaction_threshold(f64::INFINITY)
-        .topk_tree(true)
         .build();
     for id in (0..1200u32).step_by(5) {
         live.remove_ranking(ranksim_rankings::RankingId(id));

@@ -8,10 +8,9 @@
 //! must grow the arenas (the only allocations the mutation path is
 //! allowed).
 //!
-//! The engine under test carries no top-k tree and no planner: those
-//! absorb mutations into their own arenas (BK node arena, statistic
-//! tables) with their own growth points, which the steady-state guard in
-//! `alloc_free.rs` covers on the query side.
+//! The engine under test carries no planner: it absorbs mutations into
+//! its own statistic tables with their own growth points, which the
+//! steady-state guard in `alloc_free.rs` covers on the query side.
 //!
 //! This file intentionally holds a single test: the counting allocator
 //! is global to the test binary, so a concurrently running test would

@@ -2,17 +2,19 @@
 //! WAL's `wal_codec` sweep: a snapshot damaged at *any* byte — flipped
 //! or cut — must fail a verified load with a clean typed
 //! [`PersistError`], never a panic and never a silently-wrong engine.
-//! Alongside the sweep, the forward-compatibility refusals: a future
-//! format version, an unknown section tag, a wrong-endian magic and a
-//! snapshot/WAL position mismatch are each a distinct typed error.
+//! Alongside the sweep, the compatibility refusals: a future or
+//! previous format version, an unknown section tag, a wrong-endian magic
+//! and a snapshot/WAL position mismatch are each a distinct typed error.
 
 use std::path::PathBuf;
 
 use proptest::prelude::*;
 use ranksim_core::engine::{Algorithm, Engine, EngineBuilder};
+use ranksim_core::persist::{manifest_file, FORMAT_VERSION};
 use ranksim_core::wal::{SyncPolicy, WalWriter};
 use ranksim_core::{
-    load_engine, save_engine, LoadMode, PersistError, SnapshotEngine, SnapshotMeta,
+    load_engine, load_sharded, load_sharded_manifest, save_engine, save_sharded, LoadMode,
+    PersistError, ShardStrategy, ShardedEngineBuilder, SnapshotEngine, SnapshotMeta,
 };
 use ranksim_datasets::nyt_like;
 use ranksim_rankings::{raw_threshold, QueryStats, RankingId};
@@ -26,14 +28,13 @@ fn temp_path(tag: &str) -> PathBuf {
 
 /// A deliberately tiny engine that still populates **every** section of
 /// the container: all four posting-list indexes, both coarse indexes,
-/// the top-k BK-tree, the planner and a non-empty delta + tombstone
+/// the planner and a non-empty delta + tombstone
 /// plane. Small, because the sweep is quadratic in the file length.
 fn probe_engine(n: usize, seed: u64) -> Engine {
     let ds = nyt_like(n, 6, seed);
     let mut engine = EngineBuilder::new(ds.store)
         .coarse_threshold(0.4)
         .coarse_drop_threshold(0.06)
-        .topk_tree(true)
         .build();
     // Touch the mutable planes so DELTA carries real data.
     let donor = engine.store().items(RankingId(0)).to_vec();
@@ -158,18 +159,59 @@ proptest! {
 // Forward/negative compatibility: each refusal is a distinct typed error
 // ---------------------------------------------------------------------
 
+/// Rewrites the little-endian format version at bytes 4..8 of `path`.
+fn stamp_version(path: &std::path::Path, version: u32) {
+    let mut bytes = std::fs::read(path).unwrap();
+    bytes[4..8].copy_from_slice(&version.to_le_bytes());
+    std::fs::write(path, &bytes).unwrap();
+}
+
 #[test]
 fn future_format_version_is_refused_by_name() {
-    let (mut bytes, path) = probe_snapshot("future-version");
-    // Bytes 4..8 are the little-endian format version.
-    bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
-    std::fs::write(&path, &bytes).unwrap();
+    let (_, path) = probe_snapshot("future-version");
+    stamp_version(&path, FORMAT_VERSION + 1);
     match load_engine(&path, LoadMode::Verify) {
-        Err(PersistError::UnsupportedVersion(3)) => {}
-        Err(other) => panic!("expected UnsupportedVersion(3), got {other:?}"),
+        Err(PersistError::UnsupportedVersion(v)) if v == FORMAT_VERSION + 1 => {}
+        Err(other) => panic!("expected UnsupportedVersion, got {other:?}"),
         Ok(_) => panic!("future version must not load"),
     }
     std::fs::remove_file(&path).unwrap();
+}
+
+/// Version 2 files carry a top-k tree section and two build flags this
+/// reader no longer knows: a snapshot and a sharded manifest stamped
+/// with it are refused by version, in both load modes, before any
+/// section is decoded.
+#[test]
+fn previous_format_version_is_refused_for_snapshot_and_manifest() {
+    let (_, path) = probe_snapshot("previous-version");
+    stamp_version(&path, 2);
+    for mode in [LoadMode::Verify, LoadMode::Trust] {
+        match load_engine(&path, mode) {
+            Err(PersistError::UnsupportedVersion(2)) => {}
+            Err(other) => panic!("expected UnsupportedVersion(2), got {other:?}"),
+            Ok(_) => panic!("a version-2 snapshot must not load"),
+        }
+    }
+    std::fs::remove_file(&path).unwrap();
+
+    let dir = std::env::temp_dir().join(format!(
+        "ranksim-persistcodec-previous-manifest-{}",
+        std::process::id()
+    ));
+    let mut builder = ShardedEngineBuilder::new(6, 2, ShardStrategy::Hash);
+    builder.extend_from_store(&nyt_like(24, 6, 3).store);
+    save_sharded(&dir, &builder.build()).expect("save sharded probe");
+    stamp_version(&manifest_file(&dir), 2);
+    assert!(matches!(
+        load_sharded(&dir, LoadMode::Verify),
+        Err(PersistError::UnsupportedVersion(2))
+    ));
+    assert!(matches!(
+        load_sharded_manifest(&dir),
+        Err(PersistError::UnsupportedVersion(2))
+    ));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -32,15 +32,11 @@ pub use bktree::BkTreeParts;
 pub use knn::{knn_bktree, knn_linear, knn_vptree, KnnHeap};
 pub use mtree::MTree;
 #[doc(hidden)]
-pub use mtree::MTreeParts;
-#[doc(hidden)]
 pub use partition::PartitioningParts;
 pub use partition::{
     BkPartitioner, Partition, PartitionMembers, Partitioning, RandomMedoidPartitioner,
 };
 pub use vptree::VpTree;
-#[doc(hidden)]
-pub use vptree::VpTreeParts;
 
 use ranksim_rankings::{footrule_pairs, ItemId, QueryStats, RankingId, RankingStore};
 

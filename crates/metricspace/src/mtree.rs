@@ -474,172 +474,6 @@ impl MTree {
                 })
                 .sum::<usize>()
     }
-
-    /// Decomposes the tree into its flat persistence form: a per-node
-    /// kind array plus one CSR arena of entries split into four `u32`
-    /// planes — `(id, parent_dist, 0, 0)` for leaf entries and
-    /// `(pivot, radius, parent_dist, child)` for routing entries.
-    #[doc(hidden)]
-    pub fn export_parts(&self) -> MTreeParts {
-        let total: usize = self
-            .nodes
-            .iter()
-            .map(|n| match n {
-                Node::Leaf(es) => es.len(),
-                Node::Internal(es) => es.len(),
-            })
-            .sum();
-        let mut parts = MTreeParts {
-            root: self.root,
-            capacity: self.capacity as u32,
-            node_kinds: Vec::with_capacity(self.nodes.len()),
-            entry_offsets: Vec::with_capacity(self.nodes.len() + 1),
-            entry_a: Vec::with_capacity(total),
-            entry_b: Vec::with_capacity(total),
-            entry_c: Vec::with_capacity(total),
-            entry_d: Vec::with_capacity(total),
-        };
-        parts.entry_offsets.push(0);
-        for n in &self.nodes {
-            match n {
-                Node::Leaf(es) => {
-                    parts.node_kinds.push(0);
-                    for e in es {
-                        parts.entry_a.push(e.id.0);
-                        parts.entry_b.push(e.parent_dist);
-                        parts.entry_c.push(0);
-                        parts.entry_d.push(0);
-                    }
-                }
-                Node::Internal(es) => {
-                    parts.node_kinds.push(1);
-                    for e in es {
-                        parts.entry_a.push(e.pivot.0);
-                        parts.entry_b.push(e.radius);
-                        parts.entry_c.push(e.parent_dist);
-                        parts.entry_d.push(e.child);
-                    }
-                }
-            }
-            parts.entry_offsets.push(parts.entry_a.len() as u32);
-        }
-        parts
-    }
-
-    /// Rebuilds the tree from its flat persistence form, validating node
-    /// kinds, the CSR, child bounds and single-parent reachability from
-    /// the root (`build_distance_calls` resets to 0; `len` is recomputed
-    /// from the leaf entries).
-    #[doc(hidden)]
-    pub fn from_parts(parts: MTreeParts) -> Result<Self, String> {
-        let n = parts.node_kinds.len();
-        if parts.entry_offsets.len() != n + 1 {
-            return Err("M-tree entry offsets disagree with node count".into());
-        }
-        if parts.entry_offsets.first().copied().unwrap_or(0) != 0
-            || parts.entry_offsets.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err("M-tree entry offsets not monotone from 0".into());
-        }
-        let total = parts.entry_offsets.last().copied().unwrap_or(0) as usize;
-        if parts.entry_a.len() != total
-            || parts.entry_b.len() != total
-            || parts.entry_c.len() != total
-            || parts.entry_d.len() != total
-        {
-            return Err("M-tree entry planes disagree with offsets".into());
-        }
-        if parts.capacity < 4 {
-            return Err(format!("M-tree node capacity {} below 4", parts.capacity));
-        }
-        if n == 0 || parts.root as usize >= n {
-            return Err("M-tree root inconsistent with node count".into());
-        }
-        if let Some(bad) = parts.node_kinds.iter().position(|&k| k > 1) {
-            return Err(format!("M-tree node {bad} has an unknown kind"));
-        }
-        // Child links must form a tree rooted at `root` — every node
-        // reachable exactly once (cycles would overflow the recursive
-        // query paths; `depth()` additionally needs non-empty internals).
-        let mut seen = vec![false; n];
-        let mut visited = 0usize;
-        let mut stack = vec![parts.root];
-        while let Some(i) = stack.pop() {
-            let i = i as usize;
-            if seen[i] {
-                return Err(format!("M-tree node {i} reachable twice (cycle)"));
-            }
-            seen[i] = true;
-            visited += 1;
-            if parts.node_kinds[i] == 1 {
-                let (lo, hi) = (parts.entry_offsets[i], parts.entry_offsets[i + 1]);
-                if lo == hi {
-                    return Err(format!("M-tree internal node {i} has no entries"));
-                }
-                for &c in &parts.entry_d[lo as usize..hi as usize] {
-                    if c as usize >= n {
-                        return Err(format!("M-tree child index {c} out of bounds {n}"));
-                    }
-                    stack.push(c);
-                }
-            }
-        }
-        if visited != n {
-            return Err(format!(
-                "M-tree has {} nodes unreachable from the root",
-                n - visited
-            ));
-        }
-        let mut nodes = Vec::with_capacity(n);
-        let mut len = 0usize;
-        for i in 0..n {
-            let lo = parts.entry_offsets[i] as usize;
-            let hi = parts.entry_offsets[i + 1] as usize;
-            if parts.node_kinds[i] == 0 {
-                len += hi - lo;
-                nodes.push(Node::Leaf(
-                    (lo..hi)
-                        .map(|j| LeafEntry {
-                            id: RankingId(parts.entry_a[j]),
-                            parent_dist: parts.entry_b[j],
-                        })
-                        .collect(),
-                ));
-            } else {
-                nodes.push(Node::Internal(
-                    (lo..hi)
-                        .map(|j| RoutingEntry {
-                            pivot: RankingId(parts.entry_a[j]),
-                            radius: parts.entry_b[j],
-                            parent_dist: parts.entry_c[j],
-                            child: parts.entry_d[j],
-                        })
-                        .collect(),
-                ));
-            }
-        }
-        Ok(MTree {
-            nodes,
-            root: parts.root,
-            capacity: parts.capacity as usize,
-            len,
-            build_distance_calls: 0,
-        })
-    }
-}
-
-/// Flat persistence form of an [`MTree`] (see [`MTree::export_parts`]).
-#[doc(hidden)]
-#[derive(Debug, Clone)]
-pub struct MTreeParts {
-    pub root: u32,
-    pub capacity: u32,
-    pub node_kinds: Vec<u8>,
-    pub entry_offsets: Vec<u32>,
-    pub entry_a: Vec<u32>,
-    pub entry_b: Vec<u32>,
-    pub entry_c: Vec<u32>,
-    pub entry_d: Vec<u32>,
 }
 
 impl Default for MTree {
@@ -769,50 +603,6 @@ mod tests {
             let kexp = crate::knn::knn_linear(&store, &q, 6, &mut s1);
             let kgot = tree.knn(&store, &q, 6, &mut s2);
             assert_eq!(kgot, kexp, "knn qid={qid}");
-        }
-    }
-
-    #[test]
-    fn parts_round_trip_preserves_answers() {
-        let mut store = random_store(260, 6, 45, 51);
-        let mut tree = MTree::build(&store);
-        for id in (2..260u32).step_by(6) {
-            store.remove(RankingId(id));
-        }
-        for i in 0..10u32 {
-            let base = 4000 + i * 6;
-            let id = store.push_items_unchecked(
-                &[base, base + 1, base + 2, base + 3, base + 4, base + 5].map(ItemId),
-            );
-            tree.insert(&store, id);
-        }
-        let reloaded = MTree::from_parts(tree.export_parts()).expect("round trip");
-        assert_eq!(reloaded.len(), tree.len());
-        assert_eq!(reloaded.depth(), tree.depth());
-        for qid in [0u32, 99, 259, 265] {
-            let q = query_pairs(store.items(RankingId(qid)));
-            let mut s1 = QueryStats::new();
-            let mut s2 = QueryStats::new();
-            assert_eq!(
-                reloaded.range_query(&store, &q, 18, &mut s1),
-                tree.range_query(&store, &q, 18, &mut s2),
-                "range qid={qid}"
-            );
-            assert_eq!(
-                reloaded.knn(&store, &q, 5, &mut s1),
-                tree.knn(&store, &q, 5, &mut s2),
-                "knn qid={qid}"
-            );
-        }
-        // A child link bent back to the root is rejected, not recursed.
-        let mut bad = tree.export_parts();
-        if let Some(j) = (0..bad.node_kinds.len())
-            .filter(|&i| bad.node_kinds[i] == 1)
-            .map(|i| bad.entry_offsets[i] as usize)
-            .next()
-        {
-            bad.entry_d[j] = bad.root;
-            assert!(MTree::from_parts(bad).is_err());
         }
     }
 

@@ -36,22 +36,16 @@ struct VpNode {
     bucket: Vec<(u32, RankingId)>,
 }
 
-/// A bulk-built vantage-point tree.
+/// A bulk-built, immutable vantage-point tree.
 ///
-/// The bulk structure is immutable, but the tree supports a **live
-/// corpus** overlay: [`VpTree::insert`] appends to an overflow buffer
-/// scanned exactly at query time (a VP split cannot absorb points without
-/// re-computing medians), and tombstoned rankings are filtered at
+/// Rankings tombstoned in the store after the build are filtered at
 /// emission through [`RankingStore::is_live`] while their frozen content
-/// keeps every pruning bound exact. Rebuilding folds the overlay in.
+/// keeps every pruning bound exact.
 #[derive(Debug, Clone, Default)]
 pub struct VpTree {
     nodes: Vec<VpNode>,
     root: Option<u32>,
     len: usize,
-    /// Rankings appended after the bulk build; scanned linearly (and
-    /// exactly) by every query.
-    overflow: Vec<RankingId>,
     /// Distance evaluations spent on construction.
     pub build_distance_calls: u64,
 }
@@ -71,7 +65,6 @@ impl VpTree {
             nodes: Vec::with_capacity(store.live_len() / LEAF_CAP * 2 + 1),
             root: None,
             len: store.live_len(),
-            overflow: Vec::new(),
             build_distance_calls: 0,
         };
         let mut rng = StdRng::seed_from_u64(seed);
@@ -152,8 +145,8 @@ impl VpTree {
         t
     }
 
-    /// Number of rankings inserted into the tree (bulk + overflow,
-    /// including any that were tombstoned afterwards).
+    /// Number of rankings the tree was built over (including any that
+    /// were tombstoned afterwards).
     pub fn len(&self) -> usize {
         self.len
     }
@@ -161,20 +154,6 @@ impl VpTree {
     /// Whether the tree is empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Appends ranking `id` to the overflow buffer — the incremental
-    /// insert path. Overflow entries are scanned linearly (and exactly)
-    /// by every query until the tree is rebuilt; removal needs no tree
-    /// operation at all (tombstone filtering via the store).
-    pub fn insert(&mut self, id: RankingId) {
-        self.overflow.push(id);
-        self.len += 1;
-    }
-
-    /// Number of overflow entries awaiting the next rebuild.
-    pub fn overflow_len(&self) -> usize {
-        self.overflow.len()
     }
 
     /// Range query: every ranking within `theta_raw` of the query.
@@ -187,16 +166,6 @@ impl VpTree {
     ) -> Vec<RankingId> {
         let mut out = Vec::new();
         let k = store.k();
-        // Overflow entries (post-build inserts): exact linear pass.
-        for &id in &self.overflow {
-            if !store.is_live(id) {
-                continue;
-            }
-            stats.count_distance();
-            if footrule_pairs(query_pairs, store.sorted_pairs(id), k) <= theta_raw {
-                out.push(id);
-            }
-        }
         let mut stack: Vec<u32> = Vec::new();
         if let Some(r) = self.root {
             stack.push(r);
@@ -246,13 +215,6 @@ impl VpTree {
         stats: &mut QueryStats,
     ) {
         let k = store.k();
-        for &id in &self.overflow {
-            if !store.is_live(id) {
-                continue;
-            }
-            stats.count_distance();
-            heap.offer(footrule_pairs(query_pairs, store.sorted_pairs(id), k), id);
-        }
         let mut stack: Vec<u32> = Vec::new();
         if let Some(r) = self.root {
             stack.push(r);
@@ -290,143 +252,12 @@ impl VpTree {
     /// Approximate heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
         self.nodes.capacity() * std::mem::size_of::<VpNode>()
-            + self.overflow.capacity() * std::mem::size_of::<RankingId>()
             + self
                 .nodes
                 .iter()
                 .map(|n| n.bucket.capacity() * std::mem::size_of::<(u32, RankingId)>())
                 .sum::<usize>()
     }
-
-    /// Decomposes the tree into its flat persistence form: parallel
-    /// per-node arrays (child links as `u32::MAX`-for-none), one CSR
-    /// arena over the bucket members split into distance/id planes, and
-    /// the overflow buffer.
-    #[doc(hidden)]
-    pub fn export_parts(&self) -> VpTreeParts {
-        let total: usize = self.nodes.iter().map(|n| n.bucket.len()).sum();
-        let mut parts = VpTreeParts {
-            root: self.root.unwrap_or(u32::MAX),
-            vantages: Vec::with_capacity(self.nodes.len()),
-            mus: Vec::with_capacity(self.nodes.len()),
-            inners: Vec::with_capacity(self.nodes.len()),
-            outers: Vec::with_capacity(self.nodes.len()),
-            bucket_offsets: Vec::with_capacity(self.nodes.len() + 1),
-            bucket_dists: Vec::with_capacity(total),
-            bucket_ids: Vec::with_capacity(total),
-            overflow: self.overflow.iter().map(|id| id.0).collect(),
-        };
-        parts.bucket_offsets.push(0);
-        for n in &self.nodes {
-            parts.vantages.push(n.vantage.0);
-            parts.mus.push(n.mu);
-            parts.inners.push(n.inner.unwrap_or(u32::MAX));
-            parts.outers.push(n.outer.unwrap_or(u32::MAX));
-            for &(d, id) in &n.bucket {
-                parts.bucket_dists.push(d);
-                parts.bucket_ids.push(id.0);
-            }
-            parts.bucket_offsets.push(parts.bucket_dists.len() as u32);
-        }
-        parts
-    }
-
-    /// Rebuilds the tree from its flat persistence form, validating the
-    /// CSR and child-link invariants and that every node is reachable
-    /// from the root exactly once (`build_distance_calls` resets to 0;
-    /// `len` is recomputed from the node, bucket and overflow counts).
-    #[doc(hidden)]
-    pub fn from_parts(parts: VpTreeParts) -> Result<Self, String> {
-        let n = parts.vantages.len();
-        if parts.mus.len() != n
-            || parts.inners.len() != n
-            || parts.outers.len() != n
-            || parts.bucket_offsets.len() != n + 1
-        {
-            return Err("VP-tree node arrays disagree in length".into());
-        }
-        if parts.bucket_offsets.first().copied().unwrap_or(0) != 0
-            || parts.bucket_offsets.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err("VP-tree bucket offsets not monotone from 0".into());
-        }
-        let total = parts.bucket_offsets.last().copied().unwrap_or(0) as usize;
-        if parts.bucket_dists.len() != total || parts.bucket_ids.len() != total {
-            return Err("VP-tree bucket arena length disagrees with offsets".into());
-        }
-        let root = (parts.root != u32::MAX).then_some(parts.root);
-        match root {
-            Some(r) if (r as usize) < n => {}
-            None if n == 0 => {}
-            _ => return Err("VP-tree root inconsistent with node count".into()),
-        }
-        // Child links must form a tree rooted at `root`: every node
-        // reachable exactly once (a cycle would hang the query stack).
-        let mut seen = vec![false; n];
-        let mut visited = 0usize;
-        let mut stack: Vec<u32> = root.into_iter().collect();
-        while let Some(i) = stack.pop() {
-            if i as usize >= n {
-                return Err(format!("VP-tree child index {i} out of bounds {n}"));
-            }
-            if seen[i as usize] {
-                return Err(format!("VP-tree node {i} reachable twice (cycle)"));
-            }
-            seen[i as usize] = true;
-            visited += 1;
-            for link in [parts.inners[i as usize], parts.outers[i as usize]] {
-                if link != u32::MAX {
-                    stack.push(link);
-                }
-            }
-        }
-        if visited != n {
-            return Err(format!(
-                "VP-tree has {} nodes unreachable from the root",
-                n - visited
-            ));
-        }
-        let mut nodes = Vec::with_capacity(n);
-        for i in 0..n {
-            let lo = parts.bucket_offsets[i] as usize;
-            let hi = parts.bucket_offsets[i + 1] as usize;
-            nodes.push(VpNode {
-                vantage: RankingId(parts.vantages[i]),
-                mu: parts.mus[i],
-                inner: (parts.inners[i] != u32::MAX).then_some(parts.inners[i]),
-                outer: (parts.outers[i] != u32::MAX).then_some(parts.outers[i]),
-                bucket: parts.bucket_dists[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(parts.bucket_ids[lo..hi].iter().map(|&id| RankingId(id)))
-                    .collect(),
-            });
-        }
-        let len = n + total + parts.overflow.len();
-        Ok(VpTree {
-            nodes,
-            root,
-            len,
-            overflow: parts.overflow.into_iter().map(RankingId).collect(),
-            build_distance_calls: 0,
-        })
-    }
-}
-
-/// Flat persistence form of a [`VpTree`] (see [`VpTree::export_parts`]).
-/// `u32::MAX` encodes an absent root or child link.
-#[doc(hidden)]
-#[derive(Debug, Clone, Default)]
-pub struct VpTreeParts {
-    pub root: u32,
-    pub vantages: Vec<u32>,
-    pub mus: Vec<u32>,
-    pub inners: Vec<u32>,
-    pub outers: Vec<u32>,
-    pub bucket_offsets: Vec<u32>,
-    pub bucket_dists: Vec<u32>,
-    pub bucket_ids: Vec<u32>,
-    pub overflow: Vec<u32>,
 }
 
 #[cfg(test)]
@@ -475,25 +306,15 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_tombstone_track_the_live_corpus_exactly() {
+    fn tombstones_track_the_live_corpus_exactly() {
         let mut store = random_store(300, 6, 50, 19);
-        let mut tree = VpTree::build(&store, 5);
-        // Mutate: tombstone a third of the corpus, append fresh rankings
-        // into the overflow buffer.
+        let tree = VpTree::build(&store, 5);
         for id in (0..300u32).step_by(3) {
             assert!(store.remove(RankingId(id)));
         }
-        for i in 0..40u32 {
-            let base = 1000 + i * 6;
-            let id = store.push_items_unchecked(
-                &[base, base + 1, base + 2, base + 3, base + 4, base + 5].map(ItemId),
-            );
-            tree.insert(id);
-        }
-        assert_eq!(tree.overflow_len(), 40);
-        assert_eq!(tree.len(), 340);
+        assert_eq!(tree.len(), 300);
         // Range queries and KNN agree with the live-corpus oracle.
-        for qid in [1u32, 299, 310, 339] {
+        for qid in [1u32, 151, 299] {
             let q = query_pairs(store.items(RankingId(qid)));
             let mut s1 = QueryStats::new();
             let mut s2 = QueryStats::new();
@@ -505,54 +326,6 @@ mod tests {
             let kexp = crate::knn::knn_linear(&store, &q, 7, &mut s1);
             let kgot = crate::knn::knn_vptree(&tree, &store, &q, 7, &mut s2);
             assert_eq!(kgot, kexp, "knn qid={qid}");
-        }
-        // A rebuild folds the overlay in and keeps answering identically.
-        let rebuilt = VpTree::build(&store, 5);
-        assert_eq!(rebuilt.overflow_len(), 0);
-        assert_eq!(rebuilt.len(), store.live_len());
-        let q = query_pairs(store.items(RankingId(302)));
-        let mut s = QueryStats::new();
-        let mut a = tree.range_query(&store, &q, 24, &mut s);
-        let mut b = rebuilt.range_query(&store, &q, 24, &mut s);
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn parts_round_trip_preserves_answers() {
-        let mut store = random_store(300, 6, 50, 47);
-        let mut tree = VpTree::build(&store, 9);
-        for id in (0..300u32).step_by(5) {
-            store.remove(RankingId(id));
-        }
-        for i in 0..12u32 {
-            let base = 3000 + i * 6;
-            let id = store.push_items_unchecked(
-                &[base, base + 1, base + 2, base + 3, base + 4, base + 5].map(ItemId),
-            );
-            tree.insert(id);
-        }
-        let reloaded = VpTree::from_parts(tree.export_parts()).expect("round trip");
-        assert_eq!(reloaded.len(), tree.len());
-        assert_eq!(reloaded.overflow_len(), tree.overflow_len());
-        for qid in [0u32, 88, 299, 305] {
-            let q = query_pairs(store.items(RankingId(qid)));
-            for theta in [0u32, 12, 26] {
-                let mut s1 = QueryStats::new();
-                let mut s2 = QueryStats::new();
-                assert_eq!(
-                    reloaded.range_query(&store, &q, theta, &mut s1),
-                    tree.range_query(&store, &q, theta, &mut s2),
-                    "qid={qid} θ={theta}"
-                );
-            }
-        }
-        // Corrupted child links are rejected, not traversed.
-        let mut bad = tree.export_parts();
-        if !bad.inners.is_empty() {
-            bad.inners[0] = bad.root; // cycle back to the root
-            assert!(VpTree::from_parts(bad).is_err());
         }
     }
 

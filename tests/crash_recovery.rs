@@ -99,7 +99,6 @@ fn build_engine(model: &Model) -> Engine {
         .coarse_threshold(0.4)
         .coarse_drop_threshold(0.06)
         .calibrated_costs(CalibratedCosts::nominal(K))
-        .topk_tree(true)
         .build()
 }
 

@@ -88,15 +88,13 @@ fn monolith_of(corpus: &[Vec<ItemId>]) -> Engine {
     EngineBuilder::new(store)
         .coarse_threshold(0.4)
         .coarse_drop_threshold(0.06)
-        .topk_tree(true)
         .build()
 }
 
 fn sharded_of(corpus: &[Vec<ItemId>]) -> ShardedEngine {
     let mut b = ShardedEngineBuilder::new(K, CLUSTERS as usize, ShardStrategy::Medoid)
         .coarse_threshold(0.4)
-        .coarse_drop_threshold(0.06)
-        .topk_trees(true);
+        .coarse_drop_threshold(0.06);
     for items in corpus {
         b.push_ranking(items);
     }
@@ -215,6 +213,64 @@ fn pruned_fanout_reduces_requests_and_stays_exact() {
         rstats.fanout_pruned,
         queries.len() as u64 * workers
     );
+    drop(remote);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sharded directory saved *after* deletes maps more local slots than
+/// its shards hold live rankings; it must still launch (the handshake
+/// used to demand equality) and answer like `load_sharded` of the same
+/// directory. A hostile `neighbours = u32::MAX` crosses the real worker
+/// sockets unclamped and comes back as the whole live corpus in
+/// `(distance, id)` order, not as a 32 GiB heap reservation.
+#[test]
+fn directory_saved_after_deletes_launches_and_bounds_huge_topk() {
+    let corpus = clustered_corpus(200, 57);
+    let mut sharded = sharded_of(&corpus);
+    let removed = |id: usize| id % 9 == 4;
+    for id in (0..corpus.len()).filter(|&id| removed(id)) {
+        assert!(sharded.remove_ranking(RankingId(id as u32)));
+    }
+    let dir = env::temp_dir().join(format!("ranksim-dist-deleted-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    save_sharded(&dir, &sharded).expect("save sharded snapshot");
+    let loaded = load_sharded(&dir, LoadMode::Verify).expect("load the same directory");
+    let mut remote = RemoteShardedEngine::launch(&dir, worker_spec(), RemoteOptions::default())
+        .expect("a directory saved after deletes must launch");
+
+    let mut scratch = loaded.scratch();
+    let mut stats = QueryStats::new();
+    for query in &queries_for(4, 57) {
+        let raw = raw_threshold(0.3, K);
+        let expect = loaded.query_items(Algorithm::Auto, query, raw, &mut scratch, &mut stats);
+        let dist = remote
+            .query_threshold(Algorithm::Auto, query, raw)
+            .expect("distributed threshold query");
+        assert_eq!(dist, expect, "distributed ≠ load_sharded after deletes");
+
+        let expect = loaded.query_topk(query, 9, &mut scratch, &mut stats);
+        let dist = remote.query_topk(query, 9).expect("distributed top-k");
+        assert_eq!(
+            dist, expect,
+            "distributed top-9 ≠ load_sharded after deletes"
+        );
+
+        let map = PositionMap::new(query);
+        let mut whole: Vec<(u32, RankingId)> = (0..corpus.len())
+            .filter(|&id| !removed(id))
+            .map(|id| (map.distance_to(&corpus[id]), RankingId(id as u32)))
+            .collect();
+        whole.sort_unstable();
+        let huge = u32::MAX as usize;
+        let dist = remote
+            .query_topk(query, huge)
+            .expect("huge distributed top-k");
+        assert_eq!(dist, whole, "huge top-k ≠ the whole live corpus");
+        assert_eq!(
+            loaded.query_topk(query, huge, &mut scratch, &mut stats),
+            whole
+        );
+    }
     drop(remote);
     let _ = std::fs::remove_dir_all(&dir);
 }

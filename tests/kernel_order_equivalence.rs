@@ -44,7 +44,6 @@ fn grid_engine(store: RankingStore, order: PostingOrder, kernel: Kernel) -> Engi
     EngineBuilder::new(store)
         .coarse_threshold(0.4)
         .coarse_drop_threshold(0.06)
-        .topk_tree(true)
         .posting_order(order)
         .kernel(kernel)
         .build()

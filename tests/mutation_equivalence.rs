@@ -5,8 +5,8 @@
 //! compact operations from its proptest case seed and replays it against
 //! three targets at once:
 //!
-//! * a mutated monolithic [`Engine`] (all eight algorithms + `Auto`, a
-//!   top-k tree absorbing inserts, auto-compaction armed),
+//! * a mutated monolithic [`Engine`] (all eight algorithms + `Auto`,
+//!   auto-compaction armed),
 //! * mutated [`ShardedEngine`]s at S ∈ {1, 2, 7} with auto-rebalancing
 //!   enabled (skewed inserts migrate rankings between shards mid-run),
 //! * the **oracle**: at every checkpoint, an engine freshly built from
@@ -29,6 +29,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
+use ranksim::metricspace::{knn_linear, query_pairs};
 use ranksim::prelude::*;
 
 const K: usize = 8;
@@ -138,7 +139,6 @@ fn oracle_engine(model: &Model) -> Engine {
         .coarse_threshold(0.4)
         .coarse_drop_threshold(0.06)
         .calibrated_costs(CalibratedCosts::nominal(K))
-        .topk_tree(true)
         .build()
 }
 
@@ -158,7 +158,6 @@ impl Harness {
             .coarse_threshold(0.4)
             .coarse_drop_threshold(0.06)
             .calibrated_costs(CalibratedCosts::nominal(K))
-            .topk_tree(true)
             .compaction_threshold(0.4) // auto-compaction in the loop
             .build();
         let sharded = SHARD_COUNTS
@@ -168,7 +167,6 @@ impl Harness {
                     .coarse_threshold(0.4)
                     .coarse_drop_threshold(0.06)
                     .calibrated_costs(CalibratedCosts::nominal(K))
-                    .topk_trees(true)
                     .rebalance(RebalanceConfig {
                         skew_factor: 1.4,
                         min_gap: 12,
@@ -263,8 +261,12 @@ impl Harness {
                     prop_assert_eq!(&gota, &expect, "sharded Auto S={}", SHARD_COUNTS[si]);
                 }
             }
-            for kn in [1usize, 5, 17] {
+            // `usize::MAX`: more neighbours than live rankings, so the
+            // answer is the whole corpus, disjoint rankings included.
+            for kn in [1usize, 5, 17, usize::MAX] {
                 let expect = oracle.query_topk(q, kn, &mut oscratch, &mut stats);
+                let linear = knn_linear(oracle.store(), &query_pairs(q), kn.min(live), &mut stats);
+                prop_assert_eq!(&expect, &linear, "oracle topk k={} vs linear scan", kn);
                 let got = self.engine.query_topk(q, kn, &mut mscratch, &mut stats);
                 prop_assert_eq!(&got, &expect, "monolith topk k={} (live={})", kn, live);
                 for (si, sh) in self.sharded.iter().enumerate() {
@@ -294,6 +296,16 @@ fn run_case(seed: u64, initial: usize, ops: usize) -> Result<(), proptest::TestC
             harness.check(&mut rng)?;
         }
     }
+    harness.check(&mut rng)?;
+    // Top-k straight after insert → remove → compact: no query ran
+    // between the three, so nothing but the compaction can have folded
+    // the fresh ranking in and the victim out.
+    let fresh = random_ranking(&mut rng, &harness.model);
+    harness.apply(&Op::Insert(fresh));
+    if let Some(victim) = harness.model.iter().position(Option::is_some) {
+        harness.apply(&Op::Remove(RankingId(victim as u32)));
+    }
+    harness.apply(&Op::Compact);
     harness.check(&mut rng)
 }
 

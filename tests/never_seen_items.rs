@@ -90,7 +90,18 @@ fn check_engine(engine: &Engine, queries: &[Vec<ItemId>], label: &str) {
                 );
             }
         }
-        for kn in [1usize, 4, 12] {
+    }
+    check_topk(engine, queries, label);
+}
+
+/// The battery's fully never-seen queries overlap no ranking, so every
+/// growing-radius round comes back empty and the linear fallback must
+/// produce the answer; `usize::MAX` asks for more than the corpus holds.
+fn check_topk(engine: &Engine, queries: &[Vec<ItemId>], label: &str) {
+    let mut scratch = engine.scratch();
+    let mut stats = QueryStats::new();
+    for (qi, q) in queries.iter().enumerate() {
+        for kn in [1usize, 4, 12, usize::MAX] {
             let expect = linear_topk(engine, q, kn);
             let got = engine.query_topk(q, kn, &mut scratch, &mut stats);
             assert_eq!(got, expect, "{label}: topk k={kn} on query {qi}");
@@ -107,10 +118,21 @@ fn never_seen_query_items_match_the_linear_scan_everywhere() {
         .coarse_threshold(0.4)
         .coarse_drop_threshold(0.06)
         .calibrated_costs(CalibratedCosts::nominal(K))
-        .topk_tree(true)
         .build();
     let queries = query_battery(&engine, 0xBEEF);
     check_engine(&engine, &queries, "pristine");
+
+    // -- Top-k without a planner, and without any threshold index ------
+    for (algorithms, label) in [
+        (&[Algorithm::FvDrop][..], "no planner"),
+        (&[][..], "no index"),
+    ] {
+        let restricted = EngineBuilder::new(ds.store.clone())
+            .algorithms(algorithms)
+            .build();
+        assert!(restricted.planner().is_none());
+        check_topk(&restricted, &queries, label);
+    }
 
     // -- Mutated then compacted ---------------------------------------
     // Inserts introduce items unknown at build time (500k range, still
@@ -121,7 +143,6 @@ fn never_seen_query_items_match_the_linear_scan_everywhere() {
         .coarse_threshold(0.4)
         .coarse_drop_threshold(0.06)
         .calibrated_costs(CalibratedCosts::nominal(K))
-        .topk_tree(true)
         .compaction_threshold(f64::INFINITY)
         .build();
     let mut rng = StdRng::seed_from_u64(0xF00D);

@@ -47,7 +47,6 @@ fn built_engine(n: usize, seed: u64) -> (Engine, Vec<Vec<ItemId>>) {
     let engine = EngineBuilder::new(ds.store)
         .coarse_threshold(0.4)
         .coarse_drop_threshold(0.06)
-        .topk_tree(true)
         .build();
     (engine, wl.queries)
 }
@@ -157,8 +156,7 @@ fn sharded_engine_round_trips_under_both_strategies() {
         );
         let mut builder = ShardedEngineBuilder::new(K, 3, strategy)
             .coarse_threshold(0.4)
-            .coarse_drop_threshold(0.06)
-            .topk_trees(true);
+            .coarse_drop_threshold(0.06);
         builder.extend_from_store(&ds.store);
         let mut sharded = builder.build();
         // Mutations so the shard directory holds holes and deltas.

@@ -10,6 +10,7 @@
 //! layout.
 
 use proptest::prelude::*;
+use ranksim::metricspace::{knn_linear, query_pairs};
 use ranksim::prelude::*;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -38,7 +39,6 @@ fn monolith(store: RankingStore, theta_c: f64) -> Engine {
     EngineBuilder::new(store)
         .coarse_threshold(theta_c)
         .coarse_drop_threshold(0.06)
-        .topk_tree(true)
         .build()
 }
 
@@ -47,12 +47,10 @@ fn sharded(
     shards: usize,
     strategy: ShardStrategy,
     theta_c: f64,
-    topk_trees: bool,
 ) -> ShardedEngine {
     let mut b = ShardedEngineBuilder::new(store.k(), shards, strategy)
         .coarse_threshold(theta_c)
-        .coarse_drop_threshold(0.06)
-        .topk_trees(topk_trees);
+        .coarse_drop_threshold(0.06);
     b.extend_from_store(store);
     b.build()
 }
@@ -76,7 +74,7 @@ proptest! {
         let mut mscratch = engine.scratch();
         for strategy in [ShardStrategy::Hash, ShardStrategy::Medoid] {
             for (si, &shards) in SHARD_COUNTS.iter().enumerate() {
-                let se = sharded(&store, shards, strategy, theta_c, false);
+                let se = sharded(&store, shards, strategy, theta_c);
                 prop_assert_eq!(se.len(), store.len());
                 let mut sscratch = se.scratch();
                 // Rotate which algorithm checks which shard count so the
@@ -100,33 +98,39 @@ proptest! {
     }
 
     /// Top-k queries: bit-identical `(distance, id)` sequences between
-    /// the sharded merge and the monolithic BK-tree/linear answers.
+    /// the sharded merge, the monolithic answer and the linear scan — on
+    /// the random corpus and on an all-ties one (two distinct rankings,
+    /// thirty copies each, so the k-th distance is shared by dozens of
+    /// ids), for the drawn `neighbours` and for more than the corpus holds.
     #[test]
     fn sharded_topk_queries_equal_monolith(
         rankings in corpus(70, 6, 20),
         query in proptest::sample::subsequence((0..20u32).collect::<Vec<u32>>(), 6).prop_shuffle(),
         neighbours in 1usize..30,
     ) {
-        let store = store_of(&rankings);
-        let engine = monolith(store.clone(), 0.3);
         let q: Vec<ItemId> = query.into_iter().map(ItemId).collect();
-        let mut mscratch = engine.scratch();
-        let mut st = QueryStats::new();
-        let expect = engine.query_topk(&q, neighbours, &mut mscratch, &mut st);
-        prop_assert_eq!(expect.len(), neighbours.min(store.len()));
-        for strategy in [ShardStrategy::Hash, ShardStrategy::Medoid] {
-            for &shards in &SHARD_COUNTS {
-                // Alternate per-shard BK-trees and per-shard linear scans:
-                // the answer must not depend on the shard-local method.
-                let trees = shards % 2 == 0;
-                let se = sharded(&store, shards, strategy, 0.3, trees);
-                let mut sscratch = se.scratch();
-                let got = se.query_topk(&q, neighbours, &mut sscratch, &mut st);
-                prop_assert_eq!(
-                    got,
-                    expect.clone(),
-                    "{:?} S={} kn={}", strategy, shards, neighbours
-                );
+        let ties: Vec<Vec<u32>> = rankings.iter().take(2).cycle().take(60).cloned().collect();
+        for store in [store_of(&rankings), store_of(&ties)] {
+            let engine = monolith(store.clone(), 0.3);
+            let mut mscratch = engine.scratch();
+            let mut st = QueryStats::new();
+            for neighbours in [neighbours, usize::MAX] {
+                let expect = engine.query_topk(&q, neighbours, &mut mscratch, &mut st);
+                prop_assert_eq!(expect.len(), neighbours.min(store.len()));
+                let linear = knn_linear(&store, &query_pairs(&q), expect.len(), &mut st);
+                prop_assert_eq!(&expect, &linear, "monolith ≠ linear scan kn={}", neighbours);
+                for strategy in [ShardStrategy::Hash, ShardStrategy::Medoid] {
+                    for &shards in &SHARD_COUNTS {
+                        let se = sharded(&store, shards, strategy, 0.3);
+                        let mut sscratch = se.scratch();
+                        let got = se.query_topk(&q, neighbours, &mut sscratch, &mut st);
+                        prop_assert_eq!(
+                            got,
+                            expect.clone(),
+                            "{:?} S={} kn={}", strategy, shards, neighbours
+                        );
+                    }
+                }
             }
         }
     }
@@ -149,7 +153,7 @@ proptest! {
             .into_iter()
             .map(|q| q.into_iter().map(ItemId).collect())
             .collect();
-        let se = sharded(&store, 2, ShardStrategy::Hash, 0.3, false);
+        let se = sharded(&store, 2, ShardStrategy::Hash, 0.3);
         let (got, reports) = se.query_batch_reported(Algorithm::Fv, &qs, raw, threads);
         let mut sscratch = se.scratch();
         let mut seq = QueryStats::new();

@@ -123,7 +123,6 @@ fn oracle_engine(model: &Model) -> Engine {
         .coarse_threshold(0.4)
         .coarse_drop_threshold(0.06)
         .calibrated_costs(CalibratedCosts::nominal(K))
-        .topk_tree(true)
         .build()
 }
 
@@ -207,7 +206,6 @@ fn run_concurrent_case(seed: u64, initial: usize, ops: usize, readers: usize) {
         .coarse_threshold(0.4)
         .coarse_drop_threshold(0.06)
         .calibrated_costs(CalibratedCosts::nominal(K))
-        .topk_tree(true)
         .compaction_threshold(0.4) // auto-compaction racing the readers
         .build();
     let service = SnapshotEngine::new(engine);
@@ -306,7 +304,6 @@ fn pinned_snapshot_survives_the_writer_racing_past_it() {
         .coarse_threshold(0.4)
         .coarse_drop_threshold(0.06)
         .calibrated_costs(CalibratedCosts::nominal(K))
-        .topk_tree(true)
         .compaction_threshold(0.4)
         .build();
     let service = SnapshotEngine::new(engine);
