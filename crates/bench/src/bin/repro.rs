@@ -5,8 +5,6 @@
 //! cargo run -p ranksim-bench --release --bin repro -- all
 //! cargo run -p ranksim-bench --release --bin repro -- fig8
 //! RANKSIM_NYT_N=100000 cargo run -p ranksim-bench --release --bin repro -- fig7
-//! # paper scale (NYT 1M rankings) through the sharded engine:
-//! cargo run -p ranksim-bench --release --bin repro -- --scale paper shard
 //! # cost-model planner vs the per-configuration oracle, restricted set:
 //! cargo run -p ranksim-bench --release --bin repro -- --algorithms fv,listmerge,coarse planner
 //! # A/B the position-compare kernels (results are bit-identical):
@@ -19,31 +17,16 @@
 //! scalar|simd` selects the distance kernel the experiment engines run
 //! (default `simd`); `RANKSIM_*` environment variables still override
 //! individual knobs.
+//!
+//! `repro` reproduces the paper. System performance numbers (sharding,
+//! serving, durability, persistence, worker processes) come from the
+//! standalone `benchmark/` package instead.
 
 use ranksim_bench::*;
 use ranksim_core::engine::Algorithm;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // The shard-worker body runs before any config parsing or banner:
-    // a worker process is a service spawned by `repro distributed`'s
-    // router (or any external RemoteShardedEngine), not an experiment.
-    if args.first().map(String::as_str) == Some("shard-worker") {
-        match ranksim_core::serve_from_env() {
-            Ok(true) => return,
-            Ok(false) => {
-                eprintln!(
-                    "shard-worker is spawned by the distributed router and needs \
-                     RANKSIM_REMOTE_SNAPSHOT / RANKSIM_REMOTE_SOCKET set"
-                );
-                std::process::exit(2);
-            }
-            Err(e) => {
-                eprintln!("shard-worker failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
     let mut base = ExpConfig::default_scale();
     if let Some(pos) = args.iter().position(|a| a == "--scale") {
         let Some(name) = args.get(pos + 1) else {
@@ -111,13 +94,7 @@ fn main() {
         "fig10" => run_fig10(&cfg),
         "table6" => run_table6(&cfg),
         "ablation" => run_ablation(&cfg),
-        "shard" => run_shard(&cfg, t0),
         "planner" => run_planner(&cfg, algorithms),
-        "churn" => run_churn_cmd(&cfg, t0),
-        "serve" => run_serve_cmd(&cfg, t0),
-        "recovery" => run_recovery_cmd(&cfg),
-        "persist" => run_persist_cmd(&cfg, t0),
-        "distributed" => run_distributed_cmd(&cfg, t0),
         "all" => {
             run_verify(&cfg);
             run_fig3(&cfg);
@@ -132,393 +109,12 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown experiment '{other}'; expected one of: verify fig3 fig5 fig6 fig7 table5 fig8 fig9 fig10 table6 ablation shard planner churn serve recovery persist distributed all"
+                "unknown experiment '{other}'; expected one of: verify fig3 fig5 fig6 fig7 table5 fig8 fig9 fig10 table6 ablation planner all"
             );
             std::process::exit(2);
         }
     }
     eprintln!("# total wall time: {:.1?}", t0.elapsed());
-}
-
-/// The sharded paper-scale experiment: streams the NYT-family corpus
-/// into S per-shard engines, runs a work-stealing batch, prints the
-/// per-shard memory/balance report and writes `BENCH_shard.json`
-/// (path override: `RANKSIM_SHARD_JSON`). Optional self-enforced
-/// budgets make it a CI guard: `RANKSIM_SHARD_MEM_BUDGET_MB` fails the
-/// run when the total index footprint exceeds the budget, and
-/// `RANKSIM_SHARD_TIME_BUDGET_S` bounds the end-to-end wall clock.
-fn run_shard(cfg: &ExpConfig, t0: std::time::Instant) {
-    let rc = ShardRunConfig::from_env();
-    println!(
-        "== sharded engine: NYT-family n={}, S={}, {} threads, {} at θ={} ==",
-        cfg.nyt_n,
-        rc.shards,
-        if rc.threads == 0 {
-            "all".to_string()
-        } else {
-            rc.threads.to_string()
-        },
-        rc.algorithm,
-        rc.theta
-    );
-    let report = run_sharded(cfg, Family::Nyt, rc);
-    println!(
-        "generate+route: {:.2}s   build: {:.2}s   batch ({} queries): {:.2}s ({:.1} ms/1000q)",
-        report.generate_s,
-        report.build_s,
-        report.queries,
-        report.query_s,
-        report.ms_per_1000q()
-    );
-    println!(
-        "{:>6} {:>12} {:>14} {:>12}",
-        "shard", "rankings", "heap bytes", "heap MB"
-    );
-    for (s, (&size, &bytes)) in report
-        .shard_sizes
-        .iter()
-        .zip(&report.shard_heap_bytes)
-        .enumerate()
-    {
-        println!(
-            "{s:>6} {size:>12} {bytes:>14} {:>12.1}",
-            bytes as f64 / (1024.0 * 1024.0)
-        );
-    }
-    let total_mb = report.total_heap_bytes() as f64 / (1024.0 * 1024.0);
-    println!(
-        "total: {total_mb:.1} MB across {} shards; worker shares: {:?}; {} results",
-        report.shard_sizes.len(),
-        report.worker_queries,
-        report.results
-    );
-
-    let json_path =
-        std::env::var("RANKSIM_SHARD_JSON").unwrap_or_else(|_| "BENCH_shard.json".into());
-    std::fs::write(&json_path, report.to_json()).expect("write shard report JSON");
-    println!("report written to {json_path}");
-
-    let budget_env = |k: &str| std::env::var(k).ok().and_then(|v| v.parse::<f64>().ok());
-    if let Some(budget_mb) = budget_env("RANKSIM_SHARD_MEM_BUDGET_MB") {
-        if total_mb > budget_mb {
-            eprintln!("MEMORY BUDGET EXCEEDED: {total_mb:.1} MB > {budget_mb:.1} MB");
-            std::process::exit(1);
-        }
-        println!("memory budget ok: {total_mb:.1} MB <= {budget_mb:.1} MB");
-    }
-    if let Some(budget_s) = budget_env("RANKSIM_SHARD_TIME_BUDGET_S") {
-        let elapsed = t0.elapsed().as_secs_f64();
-        if elapsed > budget_s {
-            eprintln!("TIME BUDGET EXCEEDED: {elapsed:.1}s > {budget_s:.1}s");
-            std::process::exit(1);
-        }
-        println!("time budget ok: {elapsed:.1}s <= {budget_s:.1}s");
-    }
-}
-
-/// The live-corpus churn experiment: a 90/10 read/write mix against the
-/// mutable engine, reporting read latency and memory before the mix,
-/// during it, on the tombstone-laden engine, and after `Engine::compact`
-/// — written to `BENCH_churn.json` (path override: `RANKSIM_CHURN_JSON`).
-/// `RANKSIM_CHURN_TIME_BUDGET_S` turns the run into a CI guard bounding
-/// the end-to-end wall clock.
-fn run_churn_cmd(cfg: &ExpConfig, t0: std::time::Instant) {
-    let rc = ChurnRunConfig::from_env(cfg);
-    println!(
-        "== live-corpus churn: NYT-family n={}, {} ops at {}% writes, {} at θ={} ==",
-        cfg.nyt_n,
-        rc.ops,
-        (rc.write_fraction * 100.0).round(),
-        rc.algorithm,
-        rc.theta
-    );
-    let report = run_churn(cfg, rc);
-    println!(
-        "build: {:.2}s   mixed phase: {} reads / {} inserts / {} removes",
-        report.build_s, report.reads, report.inserts, report.removes
-    );
-    println!("{:>22} {:>16} {:>12}", "phase", "read ms/1000q", "heap MB");
-    let mb = |b: usize| b as f64 / (1024.0 * 1024.0);
-    println!(
-        "{:>22} {:>16.1} {:>12.1}",
-        "pristine",
-        report.baseline_ms_per_1000q,
-        mb(report.heap_before_bytes)
-    );
-    println!(
-        "{:>22} {:>16.1} {:>12}",
-        "during churn", report.churn_read_ms_per_1000q, "-"
-    );
-    println!(
-        "{:>22} {:>16.1} {:>12.1}",
-        "post-churn (tombstoned)",
-        report.post_churn_ms_per_1000q,
-        mb(report.heap_after_churn_bytes)
-    );
-    println!(
-        "{:>22} {:>16.1} {:>12.1}",
-        "post-compaction",
-        report.post_compact_ms_per_1000q,
-        mb(report.heap_after_compact_bytes)
-    );
-    println!(
-        "writes: {:.1} µs/op; compaction: {:.2}s folded {} delta rankings + {} tombstones; live: {}",
-        report.churn_write_us_per_op,
-        report.compact_s,
-        report.delta_len,
-        report.tombstones,
-        report.live_len
-    );
-
-    let json_path =
-        std::env::var("RANKSIM_CHURN_JSON").unwrap_or_else(|_| "BENCH_churn.json".into());
-    std::fs::write(&json_path, report.to_json()).expect("write churn report JSON");
-    println!("report written to {json_path}");
-
-    if let Some(budget_s) = std::env::var("RANKSIM_CHURN_TIME_BUDGET_S")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-    {
-        let elapsed = t0.elapsed().as_secs_f64();
-        if elapsed > budget_s {
-            eprintln!("TIME BUDGET EXCEEDED: {elapsed:.1}s > {budget_s:.1}s");
-            std::process::exit(1);
-        }
-        println!("time budget ok: {elapsed:.1}s <= {budget_s:.1}s");
-    }
-}
-
-/// The concurrent serving experiment: closed-loop clients drive a
-/// 90/10 read/write mix against the RCU [`ranksim_core::SnapshotEngine`]
-/// through the admission-controlled batching dispatcher, with a full
-/// compaction forced mid-run — written to `BENCH_serve.json` (path
-/// override: `RANKSIM_SERVE_JSON`). Self-enforced CI budgets:
-/// `RANKSIM_SERVE_P99_BUDGET_MS` fails the run when the p99 read
-/// latency (overall or during the forced compaction) exceeds the
-/// budget, and `RANKSIM_SERVE_TIME_BUDGET_S` bounds the wall clock.
-fn run_serve_cmd(cfg: &ExpConfig, t0: std::time::Instant) {
-    let rc = serve::ServeRunConfig::from_env();
-    println!(
-        "== snapshot serving: NYT-family n={}, {} clients / {} batch threads, {:.0}% writes, {} at θ={} for {:.0}s ==",
-        cfg.nyt_n,
-        rc.clients,
-        rc.batch_threads,
-        rc.write_fraction * 100.0,
-        rc.algorithm,
-        rc.theta,
-        rc.duration_s
-    );
-    let report = serve::run_serve(cfg, rc);
-    println!(
-        "throughput: {:.0} reads/s + {:.0} writes/s ({} reads, {} writes, {} shed, {} remove misses)",
-        report.read_qps, report.write_qps, report.reads, report.writes, report.shed, report.remove_misses
-    );
-    println!(
-        "{:>24} {:>8} {:>10} {:>10} {:>10} {:>10}",
-        "latency (µs)", "count", "p50", "p99", "p999", "max"
-    );
-    let row = |name: &str, l: &serve::LatencyUs| {
-        println!(
-            "{:>24} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
-            name, l.count, l.p50, l.p99, l.p999, l.max
-        );
-    };
-    row("read", &report.read_latency);
-    row("read (compacting)", &report.read_latency_during_compaction);
-    row("write", &report.write_latency);
-    println!(
-        "forced compaction: {:.2}s to full publication; {} generations abandoned to stragglers; {} batch failures; live: {}",
-        report.compact_s, report.abandoned_generations, report.batch_failures, report.final_live_len
-    );
-
-    let json_path =
-        std::env::var("RANKSIM_SERVE_JSON").unwrap_or_else(|_| "BENCH_serve.json".into());
-    std::fs::write(&json_path, report.to_json()).expect("write serve report JSON");
-    println!("report written to {json_path}");
-
-    let budget_env = |k: &str| std::env::var(k).ok().and_then(|v| v.parse::<f64>().ok());
-    if let Some(budget_ms) = budget_env("RANKSIM_SERVE_P99_BUDGET_MS") {
-        let worst_p99_ms = report
-            .read_latency
-            .p99
-            .max(report.read_latency_during_compaction.p99)
-            / 1000.0;
-        if worst_p99_ms > budget_ms {
-            eprintln!("P99 BUDGET EXCEEDED: {worst_p99_ms:.2} ms > {budget_ms:.2} ms");
-            std::process::exit(1);
-        }
-        println!(
-            "p99 budget ok: {worst_p99_ms:.2} ms <= {budget_ms:.2} ms (incl. during compaction)"
-        );
-    }
-    if let Some(budget_s) = budget_env("RANKSIM_SERVE_TIME_BUDGET_S") {
-        let elapsed = t0.elapsed().as_secs_f64();
-        if elapsed > budget_s {
-            eprintln!("TIME BUDGET EXCEEDED: {elapsed:.1}s > {budget_s:.1}s");
-            std::process::exit(1);
-        }
-        println!("time budget ok: {elapsed:.1}s <= {budget_s:.1}s");
-    }
-}
-
-/// The durability experiment: the identical write sequence through the
-/// WAL-backed [`ranksim_core::SnapshotEngine`] under every sync policy
-/// (µs per acknowledged write), then cold
-/// [`ranksim_core::SnapshotEngine::recover`] timed against logs of
-/// increasing length — written to `BENCH_recovery.json` (path override:
-/// `RANKSIM_RECOVERY_JSON`). `RANKSIM_RECOVERY_TIME_BUDGET_S` turns the
-/// run into a CI guard that fails when the *slowest single recovery*
-/// exceeds the budget.
-fn run_recovery_cmd(cfg: &ExpConfig) {
-    let rc = recovery::RecoveryRunConfig::from_env(cfg);
-    println!(
-        "== durability: NYT-family n={}, {} writes; group commit = {} ops / {} ms ==",
-        cfg.nyt_n, rc.ops, rc.group_max_ops, rc.group_max_delay_ms
-    );
-    let report = recovery::run_recovery(cfg, rc);
-    println!(
-        "{:>18} {:>14} {:>14}",
-        "sync policy", "µs/write", "WAL bytes"
-    );
-    for c in &report.policy_costs {
-        println!("{:>18} {:>14.2} {:>14}", c.arm, c.us_per_op, c.wal_bytes);
-    }
-    println!(
-        "{:>12} {:>14} {:>12} {:>14}",
-        "log records", "log bytes", "recover s", "records/s"
-    );
-    for p in &report.points {
-        println!(
-            "{:>12} {:>14} {:>12.4} {:>14.0}",
-            p.ops, p.wal_bytes, p.recover_s, p.ops_per_s
-        );
-    }
-
-    let json_path =
-        std::env::var("RANKSIM_RECOVERY_JSON").unwrap_or_else(|_| "BENCH_recovery.json".into());
-    std::fs::write(&json_path, report.to_json()).expect("write recovery report JSON");
-    println!("report written to {json_path}");
-
-    if let Some(budget_s) = std::env::var("RANKSIM_RECOVERY_TIME_BUDGET_S")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-    {
-        let worst = report.worst_recover_s();
-        if worst > budget_s {
-            eprintln!("RECOVERY TIME BUDGET EXCEEDED: {worst:.2}s > {budget_s:.2}s");
-            std::process::exit(1);
-        }
-        println!("recovery time budget ok: {worst:.2}s <= {budget_s:.2}s");
-    }
-}
-
-/// The distributed-serving experiment: snapshot-spawned worker
-/// processes behind the exact fan-out/merge router, measuring pruned
-/// fan-out, protocol overhead vs the in-process engine, and
-/// kill-a-worker recovery — written to `BENCH_distributed.json`, with
-/// a self-enforced `RANKSIM_DIST_TIME_BUDGET_S` wall-clock budget.
-fn run_distributed_cmd(cfg: &ExpConfig, t0: std::time::Instant) {
-    let rc = distributed::DistRunConfig::from_env();
-    println!(
-        "== distributed serving: NYT-family n={}, S={} worker processes, {} at θ={} ==",
-        cfg.nyt_n, rc.shards, rc.algorithm, rc.theta
-    );
-    let exe = std::env::current_exe().expect("own binary path");
-    let worker = ranksim_core::WorkerSpec::new(exe).arg("shard-worker");
-    let report = distributed::run_distributed(cfg, rc, worker);
-    println!(
-        "build: {:.2}s   save: {:.2}s   launch {} workers: {:.2}s",
-        report.build_s, report.save_s, report.workers, report.launch_s
-    );
-    println!(
-        "throughput ({} queries): in-process {:.0} q/s, distributed {:.0} q/s ({:.0}% of in-process)",
-        report.queries,
-        report.inproc_qps,
-        report.dist_qps,
-        report.relative_throughput() * 100.0
-    );
-    println!(
-        "fan-out: broadcast {} requests, sent {}, pruned {} ({:.1}% reduction)",
-        report.broadcast_fanout(),
-        report.stats.fanout_sent,
-        report.stats.fanout_pruned,
-        report.fanout_reduction() * 100.0
-    );
-    if report.config.kill_worker {
-        println!(
-            "failover: SIGKILLed worker detected + respawned + reanswered in {:.1} ms",
-            report.kill_recovery_ms
-        );
-    }
-
-    let json_path =
-        std::env::var("RANKSIM_DIST_JSON").unwrap_or_else(|_| "BENCH_distributed.json".into());
-    std::fs::write(&json_path, report.to_json()).expect("write distributed report JSON");
-    println!("report written to {json_path}");
-
-    if let Some(budget_s) = std::env::var("RANKSIM_DIST_TIME_BUDGET_S")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-    {
-        let elapsed = t0.elapsed().as_secs_f64();
-        if elapsed > budget_s {
-            eprintln!("DISTRIBUTED TIME BUDGET EXCEEDED: {elapsed:.1}s > {budget_s:.1}s");
-            std::process::exit(1);
-        }
-        println!("time budget ok: {elapsed:.1}s <= {budget_s:.1}s");
-    }
-}
-
-/// The persistence experiment: full index build timed against re-opening
-/// the same engine from its `RSSN` snapshot (checksum-verified and
-/// trusting), with every answer self-checked bit-identical — written to
-/// `BENCH_persist.json` (path override: `RANKSIM_PERSIST_JSON`).
-/// `RANKSIM_PERSIST_TIME_BUDGET_S` turns the run into a CI guard
-/// bounding the end-to-end wall clock; at `n ≥ 200k` the run itself
-/// asserts the verified open is ≥10× faster than the rebuild.
-fn run_persist_cmd(cfg: &ExpConfig, t0: std::time::Instant) {
-    let rc = persist::PersistRunConfig::from_env(cfg);
-    println!(
-        "== persistence: NYT-family n={}, equivalence over {} queries ==",
-        cfg.nyt_n, rc.check_queries
-    );
-    let report = persist::run_persist(cfg, rc);
-    let mb = report.snapshot_bytes as f64 / (1024.0 * 1024.0);
-    println!(
-        "build: {:.2}s   save: {:.2}s ({mb:.1} MB, {:.0} MB/s)",
-        report.build_s, report.save_s, report.save_mb_per_s
-    );
-    println!(
-        "{:>14} {:>10} {:>10} {:>10}",
-        "open mode", "open s", "MB/s", "speedup"
-    );
-    for (name, c) in [("verify", &report.verify), ("trust", &report.trust)] {
-        println!(
-            "{:>14} {:>10.3} {:>10.0} {:>9.1}x",
-            name, c.open_s, c.mb_per_s, c.speedup
-        );
-    }
-    println!(
-        "answers: {} (query, θ, algorithm) cells bit-identical across both opens",
-        report.checked_cells
-    );
-
-    let json_path =
-        std::env::var("RANKSIM_PERSIST_JSON").unwrap_or_else(|_| "BENCH_persist.json".into());
-    std::fs::write(&json_path, report.to_json()).expect("write persist report JSON");
-    println!("report written to {json_path}");
-
-    if let Some(budget_s) = std::env::var("RANKSIM_PERSIST_TIME_BUDGET_S")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-    {
-        let elapsed = t0.elapsed().as_secs_f64();
-        if elapsed > budget_s {
-            eprintln!("TIME BUDGET EXCEEDED: {elapsed:.1}s > {budget_s:.1}s");
-            std::process::exit(1);
-        }
-        println!("time budget ok: {elapsed:.1}s <= {budget_s:.1}s");
-    }
 }
 
 /// The planner sweep: `Algorithm::Auto` (cost model + online

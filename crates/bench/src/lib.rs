@@ -13,25 +13,25 @@
 //!
 //! Wall-clock numbers are always reported **scaled to 1000 queries** like
 //! the paper's plots, independent of `RANKSIM_QUERIES`.
+//!
+//! System performance (sharding, live corpora, serving, durability,
+//! persistence, worker processes) is measured by the standalone
+//! `benchmark/` package, not here. The [`serve`] module is the TCP
+//! serving front-end that package drives.
 
-pub mod distributed;
-pub mod persist;
-pub mod recovery;
 pub mod serve;
 
 use std::time::{Duration, Instant};
 
 use ranksim_adaptsearch::AdaptSearchIndex;
 use ranksim_core::engine::{Algorithm, Engine, EngineBuilder};
-use ranksim_core::{CalibratedCosts, CoarseIndex, CostModel, ShardStrategy, ShardedEngineBuilder};
+use ranksim_core::{CalibratedCosts, CoarseIndex, CostModel};
 use ranksim_datasets::{nyt_like, workload, yago_like, Dataset, WorkloadParams};
 use ranksim_invindex::{
     AugmentedInvertedIndex, BlockedInvertedIndex, MinimalFv, PlainInvertedIndex,
 };
 use ranksim_metricspace::{query_pairs, BkPartitioner, BkTree, MTree, VpTree};
-use ranksim_rankings::{
-    raw_threshold, ItemId, Kernel, QueryScratch, QueryStats, RankingId, RankingStore,
-};
+use ranksim_rankings::{raw_threshold, ItemId, Kernel, QueryScratch, QueryStats, RankingStore};
 
 /// Experiment scaling configuration (from the environment).
 #[derive(Debug, Clone, Copy)]
@@ -101,9 +101,9 @@ impl ExpConfig {
     }
 
     /// The paper's experiment scale: the NYT corpus has 1M rankings and
-    /// Yago 25k; plots report times per 1000 queries. Only the sharded
-    /// engine path is expected to handle this on CI-class hardware —
-    /// see `repro --scale paper shard`.
+    /// Yago 25k; plots report times per 1000 queries. The figures build
+    /// monolithic engines over the full corpus at this scale, so runs
+    /// are long and memory-hungry.
     pub fn paper() -> Self {
         ExpConfig {
             nyt_n: 1_000_000,
@@ -723,515 +723,6 @@ pub fn table6(bench: &Bench) -> Vec<Table6Row> {
     });
 
     rows
-}
-
-// ---------------------------------------------------------------------
-// Sharded paper-scale experiment
-// ---------------------------------------------------------------------
-
-/// Configuration of one sharded run (the `repro shard` experiment).
-#[derive(Debug, Clone, Copy)]
-pub struct ShardRunConfig {
-    /// Shard count `S`.
-    pub shards: usize,
-    /// Worker threads for the work-stealing batch driver (0 = all cores).
-    pub threads: usize,
-    /// Normalized query threshold θ.
-    pub theta: f64,
-    /// The algorithm every shard runs.
-    pub algorithm: Algorithm,
-    /// Shard-routing strategy.
-    pub strategy: ShardStrategy,
-}
-
-impl ShardRunConfig {
-    /// Defaults: S = 8, all cores, θ = 0.1, F&V, hash routing —
-    /// overridable via `RANKSIM_SHARDS` / `RANKSIM_THREADS`.
-    pub fn from_env() -> Self {
-        let get = |k: &str, d: usize| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
-        ShardRunConfig {
-            shards: get("RANKSIM_SHARDS", 8).max(1),
-            threads: get("RANKSIM_THREADS", 0),
-            theta: 0.1,
-            algorithm: Algorithm::Fv,
-            strategy: ShardStrategy::Hash,
-        }
-    }
-}
-
-/// Everything one sharded run measured.
-#[derive(Debug, Clone)]
-pub struct ShardRunReport {
-    /// Dataset name.
-    pub dataset: String,
-    /// Corpus size.
-    pub n: usize,
-    /// Ranking size.
-    pub k: usize,
-    /// Worker threads actually configured.
-    pub threads: usize,
-    /// Streaming corpus generation + routing time (s).
-    pub generate_s: f64,
-    /// Per-shard index construction time (s).
-    pub build_s: f64,
-    /// Batch wall time (s).
-    pub query_s: f64,
-    /// Queries processed.
-    pub queries: usize,
-    /// Total results over the batch.
-    pub results: usize,
-    /// Rankings per shard.
-    pub shard_sizes: Vec<usize>,
-    /// Heap bytes per shard (store + indexes).
-    pub shard_heap_bytes: Vec<usize>,
-    /// Queries each work-stealing worker claimed.
-    pub worker_queries: Vec<u64>,
-    /// Merged query stats.
-    pub stats: QueryStats,
-    /// The run configuration.
-    pub config: ShardRunConfig,
-}
-
-impl ShardRunReport {
-    /// Total heap bytes across shards.
-    pub fn total_heap_bytes(&self) -> usize {
-        self.shard_heap_bytes.iter().sum()
-    }
-
-    /// ms per 1000 queries, like the paper's plots.
-    pub fn ms_per_1000q(&self) -> f64 {
-        self.query_s * 1e3 * 1000.0 / self.queries.max(1) as f64
-    }
-
-    /// Renders the report as a JSON object (the CI artifact).
-    pub fn to_json(&self) -> String {
-        let join = |v: &[usize]| {
-            v.iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"shard_scale\",\n");
-        s.push_str(&format!(
-            "  \"workload\": {{\"dataset\": \"{}\", \"n\": {}, \"k\": {}, \"queries\": {}, \"theta\": {}, \"algorithm\": \"{}\"}},\n",
-            self.dataset, self.n, self.k, self.queries, self.config.theta, self.config.algorithm
-        ));
-        s.push_str(&format!(
-            "  \"shards\": {}, \"threads\": {}, \"strategy\": \"{:?}\",\n",
-            self.config.shards, self.threads, self.config.strategy
-        ));
-        s.push_str(&format!(
-            "  \"generate_s\": {:.3}, \"build_s\": {:.3}, \"query_s\": {:.3}, \"ms_per_1000q\": {:.3},\n",
-            self.generate_s,
-            self.build_s,
-            self.query_s,
-            self.ms_per_1000q()
-        ));
-        s.push_str(&format!(
-            "  \"total_heap_mb\": {:.1},\n",
-            self.total_heap_bytes() as f64 / (1024.0 * 1024.0)
-        ));
-        s.push_str(&format!(
-            "  \"shard_sizes\": [{}],\n",
-            join(&self.shard_sizes)
-        ));
-        s.push_str(&format!(
-            "  \"shard_heap_bytes\": [{}],\n",
-            join(&self.shard_heap_bytes)
-        ));
-        s.push_str(&format!(
-            "  \"worker_queries\": [{}],\n",
-            self.worker_queries
-                .iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str(&format!(
-            "  \"results\": {}, \"distance_calls\": {}, \"lists_accessed\": {}\n",
-            self.results, self.stats.distance_calls, self.stats.lists_accessed
-        ));
-        s.push_str("}\n");
-        s
-    }
-}
-
-/// Streams a `family` corpus of `cfg` scale shard-by-shard into a
-/// [`ShardedEngine`] (no monolithic store is ever materialized), derives
-/// a query workload from evenly strided base rankings sampled during the
-/// stream, and measures a work-stealing batch run.
-pub fn run_sharded(cfg: &ExpConfig, family: Family, rc: ShardRunConfig) -> ShardRunReport {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use ranksim_datasets::{perturb_ranking, ClusteredZipfGenerator, PerturbParams};
-
-    let k = 10usize;
-    let params = match family {
-        Family::Nyt => ranksim_datasets::nyt_like_params(cfg.nyt_n, k, cfg.seed),
-        Family::Yago => ranksim_datasets::yago_like_params(cfg.yago_n, k, cfg.seed + 1),
-    };
-    let n = params.n;
-    let domain = params.domain;
-    let dataset = params.name.clone();
-    let generator = ClusteredZipfGenerator::new(params);
-
-    // Stream the corpus into the shard builder; every stride-th ranking
-    // doubles as a query base (the paper draws queries from the data
-    // distribution).
-    let mut builder = ShardedEngineBuilder::new(k, rc.shards, rc.strategy)
-        .coarse_threshold(0.5)
-        .coarse_drop_threshold(0.06)
-        .kernel(cfg.kernel)
-        .algorithms(&[rc.algorithm]);
-    let stride = (n / cfg.queries.max(1)).max(1);
-    let mut bases: Vec<Vec<ItemId>> = Vec::with_capacity(cfg.queries);
-    let mut i = 0usize;
-    let t0 = Instant::now();
-    generator.for_each(|items| {
-        if i % stride == 0 && bases.len() < cfg.queries {
-            bases.push(items.to_vec());
-        }
-        builder.push_ranking(items);
-        i += 1;
-    });
-    let generate_s = t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
-    let sharded = builder.build();
-    let build_s = t1.elapsed().as_secs_f64();
-
-    let mut rng = StdRng::seed_from_u64(cfg.seed + 7);
-    let perturb = PerturbParams {
-        max_swaps: 3,
-        replace_prob: 0.5,
-    };
-    let mut queries = bases;
-    for q in &mut queries {
-        perturb_ranking(q, domain, perturb, &mut rng);
-    }
-
-    let raw = raw_threshold(rc.theta, k);
-    let t2 = Instant::now();
-    let (results, reports) = sharded.query_batch_reported(rc.algorithm, &queries, raw, rc.threads);
-    let query_s = t2.elapsed().as_secs_f64();
-
-    ShardRunReport {
-        dataset,
-        n,
-        k,
-        threads: reports.len(),
-        generate_s,
-        build_s,
-        query_s,
-        queries: queries.len(),
-        results: results.iter().map(|r| r.len()).sum(),
-        shard_sizes: sharded.shard_sizes(),
-        shard_heap_bytes: sharded.shard_heap_bytes(),
-        worker_queries: reports.iter().map(|r| r.queries).collect(),
-        stats: ranksim_core::merge_reports(&reports),
-        config: rc,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Live-corpus churn experiment (repro churn)
-// ---------------------------------------------------------------------
-
-/// Configuration of one `repro churn` run.
-#[derive(Debug, Clone, Copy)]
-pub struct ChurnRunConfig {
-    /// Fraction of operations that are writes (default 0.1 — the 90/10
-    /// read/write mix; `RANKSIM_CHURN_WRITE_PCT` in percent).
-    pub write_fraction: f64,
-    /// Total mixed operations (default `n / 2`; `RANKSIM_CHURN_OPS`).
-    pub ops: usize,
-    /// Normalized query threshold θ of every read.
-    pub theta: f64,
-    /// The algorithm reads run (default `Auto`: the planner keeps
-    /// working over a drifting corpus).
-    pub algorithm: Algorithm,
-}
-
-impl ChurnRunConfig {
-    /// Defaults plus environment overrides.
-    pub fn from_env(cfg: &ExpConfig) -> Self {
-        let get = |k: &str, d: usize| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
-        ChurnRunConfig {
-            write_fraction: get("RANKSIM_CHURN_WRITE_PCT", 10).min(90) as f64 / 100.0,
-            ops: get("RANKSIM_CHURN_OPS", cfg.nyt_n / 2).max(100),
-            theta: 0.1,
-            algorithm: Algorithm::Auto,
-        }
-    }
-}
-
-/// Everything one churn run measured (the `BENCH_churn.json` artifact):
-/// read latency and memory through the corpus lifecycle — pristine,
-/// under the mixed read/write phase, tombstone-laden, and after the
-/// compaction pass folded the overlay into fresh arenas.
-#[derive(Debug, Clone)]
-pub struct ChurnReport {
-    /// Dataset name.
-    pub dataset: String,
-    /// Initial corpus size.
-    pub n: usize,
-    /// Ranking size.
-    pub k: usize,
-    /// Mixed operations executed.
-    pub ops: usize,
-    /// Reads / inserts / removes within the mixed phase.
-    pub reads: usize,
-    /// Inserts within the mixed phase.
-    pub inserts: usize,
-    /// Removes within the mixed phase.
-    pub removes: usize,
-    /// Initial index construction time (s).
-    pub build_s: f64,
-    /// Pristine read latency (ms / 1000 queries).
-    pub baseline_ms_per_1000q: f64,
-    /// Read latency *during* the mixed phase (ms / 1000 reads; writes
-    /// excluded from the numerator's count, included in the wall time of
-    /// their own measurement).
-    pub churn_read_ms_per_1000q: f64,
-    /// Write latency during the mixed phase (µs / write).
-    pub churn_write_us_per_op: f64,
-    /// Read latency on the tombstone-laden engine after the mixed phase.
-    pub post_churn_ms_per_1000q: f64,
-    /// Read latency after [`Engine::compact`].
-    pub post_compact_ms_per_1000q: f64,
-    /// Compaction wall time (s).
-    pub compact_s: f64,
-    /// Engine heap before the mixed phase.
-    pub heap_before_bytes: usize,
-    /// Engine heap right after the mixed phase (overlay + tombstones).
-    pub heap_after_churn_bytes: usize,
-    /// Engine heap after compaction.
-    pub heap_after_compact_bytes: usize,
-    /// Delta-overlay size and base tombstones at compaction time.
-    pub delta_len: usize,
-    /// Base tombstones at compaction time.
-    pub tombstones: usize,
-    /// Live corpus size at the end.
-    pub live_len: usize,
-    /// The run configuration.
-    pub config: ChurnRunConfig,
-}
-
-impl ChurnReport {
-    /// Renders the report as a JSON object (the CI artifact).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"churn\",\n");
-        s.push_str(&format!(
-            "  \"workload\": {{\"dataset\": \"{}\", \"n\": {}, \"k\": {}, \"theta\": {}, \"algorithm\": \"{}\", \"write_fraction\": {}}},\n",
-            self.dataset, self.n, self.k, self.config.theta, self.config.algorithm, self.config.write_fraction
-        ));
-        s.push_str(&format!(
-            "  \"ops\": {}, \"reads\": {}, \"inserts\": {}, \"removes\": {},\n",
-            self.ops, self.reads, self.inserts, self.removes
-        ));
-        s.push_str(&format!(
-            "  \"build_s\": {:.3}, \"compact_s\": {:.3},\n",
-            self.build_s, self.compact_s
-        ));
-        s.push_str(&format!(
-            "  \"read_ms_per_1000q\": {{\"baseline\": {:.3}, \"during_churn\": {:.3}, \"post_churn\": {:.3}, \"post_compact\": {:.3}}},\n",
-            self.baseline_ms_per_1000q,
-            self.churn_read_ms_per_1000q,
-            self.post_churn_ms_per_1000q,
-            self.post_compact_ms_per_1000q
-        ));
-        s.push_str(&format!(
-            "  \"write_us_per_op\": {:.3},\n",
-            self.churn_write_us_per_op
-        ));
-        s.push_str(&format!(
-            "  \"heap_bytes\": {{\"before\": {}, \"after_churn\": {}, \"after_compact\": {}}},\n",
-            self.heap_before_bytes, self.heap_after_churn_bytes, self.heap_after_compact_bytes
-        ));
-        s.push_str(&format!(
-            "  \"delta_len\": {}, \"tombstones\": {}, \"live_len\": {}\n",
-            self.delta_len, self.tombstones, self.live_len
-        ));
-        s.push_str("}\n");
-        s
-    }
-}
-
-/// The live-corpus churn experiment: builds the NYT-family engine, then
-/// drives a deterministic 90/10 read/write mix (reads = threshold
-/// queries through the chosen algorithm, writes = alternating inserts of
-/// perturbed rankings and removals of random live ids), measuring read
-/// latency and memory before the mix, during it, on the tombstone-laden
-/// engine, and after an explicit [`Engine::compact`] — the
-/// before/after-compaction comparison `BENCH_churn.json` records.
-pub fn run_churn(cfg: &ExpConfig, rc: ChurnRunConfig) -> ChurnReport {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use ranksim_datasets::{perturb_ranking, PerturbParams};
-
-    let bench = Bench::load(cfg, Family::Nyt, 10);
-    let k = bench.store().k();
-    let n = bench.store().len();
-    let domain = bench.ds.params.domain;
-    let dataset = bench.ds.params.name.clone();
-
-    let t0 = Instant::now();
-    let mut engine = EngineBuilder::new(bench.ds.store)
-        .coarse_threshold(0.5)
-        .coarse_drop_threshold(0.06)
-        .kernel(cfg.kernel)
-        .algorithms(&[
-            rc.algorithm,
-            Algorithm::Fv,
-            Algorithm::ListMerge,
-            Algorithm::Coarse,
-        ])
-        .compaction_threshold(f64::INFINITY) // phases timed explicitly
-        .build();
-    let build_s = t0.elapsed().as_secs_f64();
-    let heap_before_bytes = engine.heap_bytes();
-
-    let raw = raw_threshold(rc.theta, k);
-    let mut scratch = engine.scratch();
-    let mut stats = QueryStats::new();
-    let mut out = Vec::new();
-
-    // Phase 1: pristine read latency.
-    let mut read_cursor = 0usize;
-    let timed_reads = |engine: &Engine,
-                       scratch: &mut QueryScratch,
-                       out: &mut Vec<_>,
-                       stats: &mut QueryStats,
-                       cursor: &mut usize|
-     -> f64 {
-        let t = Instant::now();
-        for _ in 0..bench.queries.len() {
-            let q = &bench.queries[*cursor % bench.queries.len()];
-            *cursor += 1;
-            engine.query_into(rc.algorithm, q, raw, scratch, stats, out);
-        }
-        ms(t.elapsed()) * 1000.0 / bench.queries.len() as f64
-    };
-    let baseline_ms_per_1000q = timed_reads(
-        &engine,
-        &mut scratch,
-        &mut out,
-        &mut stats,
-        &mut read_cursor,
-    );
-
-    // Phase 2: the mixed read/write phase. Writes alternate inserts
-    // (perturbed copies of live rankings — the data distribution) and
-    // removals of random live ids.
-    let mut rng = StdRng::seed_from_u64(cfg.seed + 99);
-    let perturb = PerturbParams {
-        max_swaps: 3,
-        replace_prob: 0.5,
-    };
-    let (mut reads, mut inserts, mut removes) = (0usize, 0usize, 0usize);
-    let mut read_wall = Duration::ZERO;
-    let mut write_wall = Duration::ZERO;
-    for op in 0..rc.ops {
-        let write = rng.random_range(0.0..1.0) < rc.write_fraction;
-        if write && op % 2 == 0 {
-            // Insert a perturbed copy of a random live ranking.
-            let donor = loop {
-                let id = RankingId(rng.random_range(0..engine.store().len() as u32));
-                if engine.is_live(id) {
-                    break id;
-                }
-            };
-            let mut items = engine.store().items(donor).to_vec();
-            perturb_ranking(&mut items, domain, perturb, &mut rng);
-            let t = Instant::now();
-            engine.insert_ranking(&items);
-            write_wall += t.elapsed();
-            inserts += 1;
-        } else if write {
-            let victim = loop {
-                let id = RankingId(rng.random_range(0..engine.store().len() as u32));
-                if engine.is_live(id) {
-                    break id;
-                }
-            };
-            let t = Instant::now();
-            engine.remove_ranking(victim);
-            write_wall += t.elapsed();
-            removes += 1;
-        } else {
-            let q = &bench.queries[read_cursor % bench.queries.len()];
-            read_cursor += 1;
-            let t = Instant::now();
-            engine.query_into(rc.algorithm, q, raw, &mut scratch, &mut stats, &mut out);
-            read_wall += t.elapsed();
-            reads += 1;
-        }
-    }
-    let churn_read_ms_per_1000q = ms(read_wall) * 1000.0 / reads.max(1) as f64;
-    let churn_write_us_per_op = write_wall.as_secs_f64() * 1e6 / (inserts + removes).max(1) as f64;
-
-    // Phase 3: the tombstone-laden engine.
-    let delta_len = engine.delta_len();
-    let tombstones = engine.base_tombstones();
-    let heap_after_churn_bytes = engine.heap_bytes();
-    let post_churn_ms_per_1000q = timed_reads(
-        &engine,
-        &mut scratch,
-        &mut out,
-        &mut stats,
-        &mut read_cursor,
-    );
-
-    // Phase 4: compaction, then steady-state again.
-    let t = Instant::now();
-    engine.compact();
-    let compact_s = t.elapsed().as_secs_f64();
-    let heap_after_compact_bytes = engine.heap_bytes();
-    let post_compact_ms_per_1000q = timed_reads(
-        &engine,
-        &mut scratch,
-        &mut out,
-        &mut stats,
-        &mut read_cursor,
-    );
-
-    ChurnReport {
-        dataset,
-        n,
-        k,
-        ops: rc.ops,
-        reads,
-        inserts,
-        removes,
-        build_s,
-        baseline_ms_per_1000q,
-        churn_read_ms_per_1000q,
-        churn_write_us_per_op,
-        post_churn_ms_per_1000q,
-        post_compact_ms_per_1000q,
-        compact_s,
-        heap_before_bytes,
-        heap_after_churn_bytes,
-        heap_after_compact_bytes,
-        delta_len,
-        tombstones,
-        live_len: engine.live_len(),
-        config: rc,
-    }
 }
 
 // ---------------------------------------------------------------------

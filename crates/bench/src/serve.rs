@@ -1,18 +1,12 @@
-//! `repro serve`: a concurrent query service over [`SnapshotEngine`].
+//! A concurrent query service over [`SnapshotEngine`].
 //!
-//! This is the serving front-end the snapshot layer exists for
-//! (library/bin split: everything lives here, the `repro` binary is a
-//! thin driver). Two front doors share one spine:
-//!
-//! * an **in-process closed-loop load generator** (the measured mode):
-//!   `clients` threads each submit a read, wait for the reply, record
-//!   the end-to-end latency, and go again — with a configured fraction
-//!   of operations going to the writer API instead;
-//! * a **local TCP socket** ([`serve_socket`]) speaking a line
-//!   protocol (`Q`/`I`/`D`), for driving the service from outside the
-//!   process. Socket input is untrusted: rankings are validated with
-//!   the non-panicking [`ranksim_rankings::validate_items`] and bad
-//!   requests get an `ERR` line instead of a worker panic.
+//! This is the serving front-end the snapshot layer exists for. Its
+//! front door is a **local TCP socket** ([`serve_socket`]) speaking a
+//! line protocol (`Q`/`I`/`D`); the `serve_tcp` workload of the
+//! `benchmark/` package measures it end to end. Socket input is
+//! untrusted: rankings are validated with the non-panicking
+//! [`ranksim_rankings::validate_items`] and bad requests get an `ERR`
+//! line instead of a worker panic.
 //!
 //! The spine is [`ServeCore`]: a bounded request queue with
 //! **admission control** (submissions beyond `queue_capacity` are shed
@@ -26,11 +20,6 @@
 //! API — that is safe by construction, the whole point of the RCU
 //! layer.
 //!
-//! Mid-run, the driver forces a full [`SnapshotEngine::compact`] and
-//! tags every read completed while the rebuild is in flight: the
-//! `during_compaction` percentile block in `BENCH_serve.json` is the
-//! direct evidence for "readers never block on writers".
-//!
 //! The spine is hardened for unattended operation:
 //!
 //! * every read carries a **deadline** (`read_budget`): requests that
@@ -38,12 +27,13 @@
 //!   the budget elapses fail individually with
 //!   [`ReadReply::TimedOut`] (socket: a `TIMEOUT` line) instead of
 //!   holding their client hostage;
-//! * the engine runs on a **write-ahead log** (see
-//!   [`ranksim_core::wal`]); graceful shutdown drains the admission
-//!   queue and syncs the WAL, so an orderly exit loses nothing;
+//! * when the engine runs on a **write-ahead log** (see
+//!   [`ranksim_core::wal`]), graceful shutdown drains the admission
+//!   queue and [`ServeCore::sync_wal`] syncs the log, so an orderly
+//!   exit loses nothing;
 //! * the dispatcher polls [`SnapshotEngine::health`] every drain —
-//!   publisher death or a WAL failure is reported (and surfaced in
-//!   `BENCH_serve.json`) instead of silently serving ever-staler
+//!   publisher death or a WAL failure is latched in
+//!   [`ServeCore::unhealthy`] instead of silently serving ever-staler
 //!   snapshots;
 //! * the socket front door bounds line length, rejects non-UTF-8 and
 //!   oversized frames with `ERR`, and hangs up on idle connections.
@@ -56,67 +46,36 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::{Bench, ExpConfig, Family};
-use ranksim_core::engine::{Algorithm, EngineBuilder};
-use ranksim_core::{SnapshotEngine, SyncPolicy, WalError};
-use ranksim_datasets::{perturb_ranking, PerturbParams};
+use ranksim_core::engine::Algorithm;
+use ranksim_core::{SnapshotEngine, WalError};
 use ranksim_rankings::{raw_threshold, validate_items, ItemId, RankingId};
 
-/// Configuration of one `repro serve` run.
+/// Configuration of a [`ServeCore`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeRunConfig {
-    /// Closed-loop client threads (`RANKSIM_SERVE_CLIENTS`, default 4).
+    /// Not read by `ServeCore`; kept for `benchmark/`'s struct literal.
     pub clients: usize,
-    /// Worker threads of the batch dispatcher
-    /// (`RANKSIM_SERVE_THREADS`, default 2).
+    /// Worker threads of the batch dispatcher.
     pub batch_threads: usize,
-    /// Measured wall time in seconds (`RANKSIM_SERVE_SECS`, default 3).
+    /// Not read by `ServeCore`; kept for `benchmark/`'s struct literal.
     pub duration_s: f64,
-    /// Fraction of client operations that are writes
-    /// (`RANKSIM_SERVE_WRITE_PCT` in percent, default 10 — the 90/10
-    /// mix).
+    /// Not read by `ServeCore`; kept for `benchmark/`'s struct literal.
     pub write_fraction: f64,
-    /// Normalized threshold θ of every read.
+    /// Not read by `ServeCore`; kept for `benchmark/`'s struct literal.
     pub theta: f64,
-    /// The algorithm reads run (default `Auto`).
+    /// The algorithm reads run.
     pub algorithm: Algorithm,
     /// Admission-control bound: reads waiting in the queue beyond this
-    /// are shed (`RANKSIM_SERVE_QUEUE`, default 1024).
+    /// are shed.
     pub queue_capacity: usize,
-    /// Most requests coalesced into one batch-driver call
-    /// (`RANKSIM_SERVE_BATCH`, default 64).
+    /// Most requests coalesced into one batch-driver call.
     pub batch_max: usize,
-    /// Per-read deadline in milliseconds, enqueue to start-of-execution
-    /// (`RANKSIM_SERVE_BUDGET_MS`, default 2000). Expired reads get
-    /// [`ReadReply::TimedOut`].
+    /// Per-read deadline in milliseconds, enqueue to start-of-execution.
+    /// Expired reads get [`ReadReply::TimedOut`].
     pub read_budget_ms: u64,
     /// Socket connections idle longer than this many seconds are hung
-    /// up on (`RANKSIM_SERVE_IDLE_S`, default 60).
+    /// up on by [`serve_socket`].
     pub idle_timeout_s: u64,
-}
-
-impl ServeRunConfig {
-    /// Defaults plus environment overrides.
-    pub fn from_env() -> Self {
-        let get = |k: &str, d: usize| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
-        ServeRunConfig {
-            clients: get("RANKSIM_SERVE_CLIENTS", 4).max(1),
-            batch_threads: get("RANKSIM_SERVE_THREADS", 2).max(1),
-            duration_s: get("RANKSIM_SERVE_SECS", 3).max(1) as f64,
-            write_fraction: get("RANKSIM_SERVE_WRITE_PCT", 10).min(90) as f64 / 100.0,
-            theta: 0.1,
-            algorithm: Algorithm::Auto,
-            queue_capacity: get("RANKSIM_SERVE_QUEUE", 1024).max(1),
-            batch_max: get("RANKSIM_SERVE_BATCH", 64).max(1),
-            read_budget_ms: get("RANKSIM_SERVE_BUDGET_MS", 2000).max(1) as u64,
-            idle_timeout_s: get("RANKSIM_SERVE_IDLE_S", 60).max(1) as u64,
-        }
-    }
 }
 
 /// A read request in flight: the query, its threshold, when it was
@@ -161,6 +120,7 @@ pub struct ServeCore {
     batch_threads: usize,
     algorithm: Algorithm,
     read_budget: Duration,
+    idle_timeout: Duration,
     stop: AtomicBool,
     /// Reads shed by admission control.
     pub shed: AtomicU64,
@@ -185,6 +145,7 @@ impl ServeCore {
             batch_threads: rc.batch_threads,
             algorithm: rc.algorithm,
             read_budget: Duration::from_millis(rc.read_budget_ms),
+            idle_timeout: Duration::from_secs(rc.idle_timeout_s),
             stop: AtomicBool::new(false),
             shed: AtomicU64::new(0),
             batch_failures: AtomicU64::new(0),
@@ -348,347 +309,6 @@ impl ServeCore {
     }
 }
 
-/// Latency percentiles in microseconds.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LatencyUs {
-    /// Samples the block summarizes.
-    pub count: usize,
-    /// Median.
-    pub p50: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// 99.9th percentile.
-    pub p999: f64,
-    /// Worst observed.
-    pub max: f64,
-}
-
-impl LatencyUs {
-    /// Summarizes raw nanosecond samples (sorts in place).
-    pub fn from_ns(samples: &mut Vec<u64>) -> Self {
-        if samples.is_empty() {
-            return LatencyUs::default();
-        }
-        samples.sort_unstable();
-        let pct = |p: f64| -> f64 {
-            let idx = ((p / 100.0) * (samples.len() - 1) as f64).round() as usize;
-            samples[idx] as f64 / 1_000.0
-        };
-        LatencyUs {
-            count: samples.len(),
-            p50: pct(50.0),
-            p99: pct(99.0),
-            p999: pct(99.9),
-            max: *samples.last().unwrap() as f64 / 1_000.0,
-        }
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"count\": {}, \"p50\": {:.1}, \"p99\": {:.1}, \"p999\": {:.1}, \"max\": {:.1}}}",
-            self.count, self.p50, self.p99, self.p999, self.max
-        )
-    }
-}
-
-/// Everything one serve run measured (the `BENCH_serve.json` artifact).
-#[derive(Debug, Clone)]
-pub struct ServeReport {
-    /// Dataset name.
-    pub dataset: String,
-    /// Corpus size at build.
-    pub n: usize,
-    /// Ranking size.
-    pub k: usize,
-    /// Completed reads.
-    pub reads: u64,
-    /// Completed writes (inserts + removes, including remove misses).
-    pub writes: u64,
-    /// Reads shed by admission control.
-    pub shed: u64,
-    /// Removes that lost the race to another client (id already dead).
-    pub remove_misses: u64,
-    /// Batched queries that failed by worker panic.
-    pub batch_failures: u64,
-    /// Reads that missed their deadline.
-    pub timeouts: u64,
-    /// Generations the publisher abandoned to straggler readers.
-    pub abandoned_generations: u64,
-    /// Final WAL length in bytes (0 when the run was volatile).
-    pub wal_bytes: u64,
-    /// Whether the engine was healthy (publisher alive, WAL clean) at
-    /// the end of the run.
-    pub healthy_at_end: bool,
-    /// Sustained read throughput (completed reads / wall time).
-    pub read_qps: f64,
-    /// Sustained write throughput.
-    pub write_qps: f64,
-    /// End-to-end read latency (enqueue → reply), all reads.
-    pub read_latency: LatencyUs,
-    /// Read latency for reads completed while the forced compaction
-    /// was rebuilding — the reads-never-block-on-writes evidence.
-    pub read_latency_during_compaction: LatencyUs,
-    /// Writer-API call latency.
-    pub write_latency: LatencyUs,
-    /// Wall time of the forced mid-run compaction (master apply +
-    /// replica publication).
-    pub compact_s: f64,
-    /// Live corpus size at the end.
-    pub final_live_len: usize,
-    /// The run configuration.
-    pub config: ServeRunConfig,
-}
-
-impl ServeReport {
-    /// Renders the report as a JSON object (the CI artifact).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"serve\",\n");
-        s.push_str(&format!(
-            "  \"workload\": {{\"dataset\": \"{}\", \"n\": {}, \"k\": {}, \"theta\": {}, \"algorithm\": \"{}\", \"write_fraction\": {}, \"clients\": {}, \"batch_threads\": {}, \"duration_s\": {}, \"queue_capacity\": {}, \"batch_max\": {}}},\n",
-            self.dataset,
-            self.n,
-            self.k,
-            self.config.theta,
-            self.config.algorithm,
-            self.config.write_fraction,
-            self.config.clients,
-            self.config.batch_threads,
-            self.config.duration_s,
-            self.config.queue_capacity,
-            self.config.batch_max
-        ));
-        s.push_str(&format!(
-            "  \"reads\": {}, \"writes\": {}, \"shed\": {}, \"remove_misses\": {}, \"batch_failures\": {}, \"timeouts\": {}, \"abandoned_generations\": {}, \"wal_bytes\": {}, \"healthy_at_end\": {},\n",
-            self.reads,
-            self.writes,
-            self.shed,
-            self.remove_misses,
-            self.batch_failures,
-            self.timeouts,
-            self.abandoned_generations,
-            self.wal_bytes,
-            self.healthy_at_end
-        ));
-        s.push_str(&format!(
-            "  \"read_qps\": {:.1}, \"write_qps\": {:.1},\n",
-            self.read_qps, self.write_qps
-        ));
-        s.push_str(&format!(
-            "  \"read_latency_us\": {},\n",
-            self.read_latency.json()
-        ));
-        s.push_str(&format!(
-            "  \"read_latency_during_compaction_us\": {},\n",
-            self.read_latency_during_compaction.json()
-        ));
-        s.push_str(&format!(
-            "  \"write_latency_us\": {},\n",
-            self.write_latency.json()
-        ));
-        s.push_str(&format!(
-            "  \"compact_s\": {:.3}, \"final_live_len\": {}\n",
-            self.compact_s, self.final_live_len
-        ));
-        s.push_str("}\n");
-        s
-    }
-}
-
-/// What one closed-loop client measured.
-#[derive(Default)]
-struct ClientTally {
-    reads: u64,
-    writes: u64,
-    remove_misses: u64,
-    timeouts: u64,
-    read_ns: Vec<u64>,
-    read_ns_during_compaction: Vec<u64>,
-    write_ns: Vec<u64>,
-}
-
-/// The serve experiment: builds the NYT-family engine, wraps it in
-/// [`SnapshotEngine`] + [`ServeCore`], drives the closed-loop 90/10
-/// read/write mix for the configured duration, and forces a full
-/// compaction at the halfway point while the clients keep hammering.
-pub fn run_serve(cfg: &ExpConfig, rc: ServeRunConfig) -> ServeReport {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let bench = Bench::load(cfg, Family::Nyt, 10);
-    let k = bench.store().k();
-    let n = bench.store().len();
-    let domain = bench.ds.params.domain;
-    let dataset = bench.ds.params.name.clone();
-    let queries = &bench.queries;
-    let theta_raw = raw_threshold(rc.theta, k);
-
-    let engine = EngineBuilder::new(bench.ds.store)
-        .coarse_threshold(0.5)
-        .coarse_drop_threshold(0.06)
-        .kernel(cfg.kernel)
-        .algorithms(&[
-            rc.algorithm,
-            Algorithm::Fv,
-            Algorithm::ListMerge,
-            Algorithm::Coarse,
-        ])
-        .compaction_threshold(f64::INFINITY) // compaction is forced mid-run
-        .build();
-    // Serve durably: every accepted write hits the WAL before it is
-    // acknowledged, group-committed so the latency tax stays small.
-    let wal_path = std::env::temp_dir().join(format!("ranksim-serve-{}.wal", std::process::id()));
-    let policy = SyncPolicy::GroupCommit {
-        max_ops: 64,
-        max_delay: Duration::from_millis(5),
-    };
-    let snapshot_engine = SnapshotEngine::with_wal(engine, &wal_path, policy)
-        .expect("create the serve run's write-ahead log");
-    let core = ServeCore::new(snapshot_engine, &rc);
-
-    let deadline = Instant::now() + Duration::from_secs_f64(rc.duration_s);
-    let compact_at = Instant::now() + Duration::from_secs_f64(rc.duration_s / 2.0);
-    let compacting = AtomicBool::new(false);
-    let perturb = PerturbParams {
-        max_swaps: 3,
-        replace_prob: 0.5,
-    };
-
-    let mut compact_s = 0.0;
-    let tallies: Vec<ClientTally> = std::thread::scope(|scope| {
-        let dispatcher = scope.spawn(|| core.dispatch_loop());
-        let clients: Vec<_> = (0..rc.clients)
-            .map(|ci| {
-                let core = &core;
-                let compacting = &compacting;
-                scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(cfg.seed + 1000 + ci as u64);
-                    let mut tally = ClientTally::default();
-                    let mut op = 0usize;
-                    while Instant::now() < deadline {
-                        op += 1;
-                        let write = rng.random_range(0.0..1.0) < rc.write_fraction;
-                        if write {
-                            let snap = core.engine().snapshot();
-                            let victim = loop {
-                                let id = RankingId(rng.random_range(0..snap.store().len() as u32));
-                                if snap.is_live(id) {
-                                    break id;
-                                }
-                            };
-                            let t = Instant::now();
-                            if op % 2 == 0 {
-                                let mut items = snap.store().items(victim).to_vec();
-                                perturb_ranking(&mut items, domain, perturb, &mut rng);
-                                core.engine().insert_ranking(&items);
-                            } else if !core.engine().remove_ranking(victim) {
-                                // Raced another client's remove of the
-                                // same (snapshot-stale) victim.
-                                tally.remove_misses += 1;
-                            }
-                            tally.write_ns.push(t.elapsed().as_nanos() as u64);
-                            tally.writes += 1;
-                        } else {
-                            let q = queries[rng.random_range(0..queries.len())].clone();
-                            let t = Instant::now();
-                            match core.submit_read(q, theta_raw) {
-                                Ok(rx) => {
-                                    let reply = rx.recv().expect("dispatcher dropped a reply");
-                                    let ns = t.elapsed().as_nanos() as u64;
-                                    match reply {
-                                        ReadReply::Done(_) => {
-                                            tally.read_ns.push(ns);
-                                            if compacting.load(Ordering::Relaxed) {
-                                                tally.read_ns_during_compaction.push(ns);
-                                            }
-                                            tally.reads += 1;
-                                        }
-                                        ReadReply::TimedOut => tally.timeouts += 1,
-                                    }
-                                }
-                                Err(SubmitError::Shed) => {
-                                    // Back off a touch so a saturated
-                                    // queue is not hammered in a spin.
-                                    std::thread::yield_now();
-                                }
-                                Err(SubmitError::Stopped) => break,
-                            }
-                        }
-                    }
-                    tally
-                })
-            })
-            .collect();
-
-        // The driver thread: force a compaction at the halfway point
-        // while the clients keep going, and time it to full
-        // publication (master apply + replica rebuild).
-        std::thread::sleep(compact_at.saturating_duration_since(Instant::now()));
-        compacting.store(true, Ordering::Relaxed);
-        let t = Instant::now();
-        core.engine().compact();
-        core.engine().flush();
-        compact_s = t.elapsed().as_secs_f64();
-        compacting.store(false, Ordering::Relaxed);
-
-        let tallies: Vec<ClientTally> = clients
-            .into_iter()
-            .map(|h| h.join().expect("serve client panicked"))
-            .collect();
-        // Graceful shutdown: stop admission, let the dispatcher drain
-        // the queue, then force the WAL's group-commit window to disk.
-        core.shutdown();
-        dispatcher.join().expect("serve dispatcher panicked");
-        core.sync_wal().expect("sync the serve WAL on shutdown");
-        tallies
-    });
-
-    let mut read_ns = Vec::new();
-    let mut read_ns_dc = Vec::new();
-    let mut write_ns = Vec::new();
-    let (mut reads, mut writes, mut remove_misses, mut client_timeouts) = (0u64, 0u64, 0u64, 0u64);
-    for mut t in tallies {
-        reads += t.reads;
-        writes += t.writes;
-        remove_misses += t.remove_misses;
-        client_timeouts += t.timeouts;
-        read_ns.append(&mut t.read_ns);
-        read_ns_dc.append(&mut t.read_ns_during_compaction);
-        write_ns.append(&mut t.write_ns);
-    }
-    let _ = client_timeouts; // the core's counter is authoritative
-
-    let health = core.engine().health();
-    let wal_bytes = core.engine().wal_bytes().unwrap_or(0);
-    let report = ServeReport {
-        dataset,
-        n,
-        k,
-        reads,
-        writes,
-        shed: core.shed.load(Ordering::Relaxed),
-        remove_misses,
-        batch_failures: core.batch_failures.load(Ordering::Relaxed),
-        timeouts: core.timeouts.load(Ordering::Relaxed),
-        abandoned_generations: core.engine().abandoned_generations(),
-        wal_bytes,
-        healthy_at_end: health.is_healthy() && !core.unhealthy.load(Ordering::Relaxed),
-        read_qps: reads as f64 / rc.duration_s,
-        write_qps: writes as f64 / rc.duration_s,
-        read_latency: LatencyUs::from_ns(&mut read_ns),
-        read_latency_during_compaction: LatencyUs::from_ns(&mut read_ns_dc),
-        write_latency: LatencyUs::from_ns(&mut write_ns),
-        compact_s,
-        final_live_len: core.engine().snapshot().live_len(),
-        config: rc,
-    };
-    // The bench WAL is scratch; a real deployment would keep it.
-    drop(core);
-    let _ = std::fs::remove_file(&wal_path);
-    report
-}
-
 // ---------------------------------------------------------------------
 // Socket front-end
 // ---------------------------------------------------------------------
@@ -764,9 +384,9 @@ fn read_frame(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<F
 /// `theta` is the normalized threshold in `[0, 1]`. All ranking input
 /// is validated before it can reach the engine's panicking asserts;
 /// frames are length-bounded, non-UTF-8 input gets `ERR`, and a
-/// connection idle past the configured timeout is hung up on.
+/// connection idle past the core's `idle_timeout_s` is hung up on.
 pub fn serve_socket(core: &Arc<ServeCore>, listener: TcpListener) {
-    let idle = Duration::from_secs(ServeRunConfig::from_env().idle_timeout_s);
+    let idle = core.idle_timeout;
     // Accept in a poll loop: a blocking `accept()` would hold this
     // thread hostage after `shutdown()` until one more peer happened
     // to connect. (If nonblocking mode is unavailable the loop
@@ -886,15 +506,12 @@ fn handle_line(core: &ServeCore, line: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ranksim_core::engine::EngineBuilder;
     use ranksim_datasets::nyt_like;
     use ranksim_rankings::QueryStats;
 
-    fn tiny_core_with_budget(queue_capacity: usize, read_budget_ms: u64) -> ServeCore {
-        let ds = nyt_like(200, 8, 11);
-        let engine = EngineBuilder::new(ds.store)
-            .algorithms(&[Algorithm::Fv])
-            .build();
-        let rc = ServeRunConfig {
+    fn tiny_config(queue_capacity: usize) -> ServeRunConfig {
+        ServeRunConfig {
             clients: 1,
             batch_threads: 1,
             duration_s: 1.0,
@@ -903,14 +520,21 @@ mod tests {
             algorithm: Algorithm::Fv,
             queue_capacity,
             batch_max: 8,
-            read_budget_ms,
+            read_budget_ms: 2000,
             idle_timeout_s: 60,
-        };
-        ServeCore::new(SnapshotEngine::new(engine), &rc)
+        }
+    }
+
+    fn tiny_core_from(rc: &ServeRunConfig) -> ServeCore {
+        let ds = nyt_like(200, 8, 11);
+        let engine = EngineBuilder::new(ds.store)
+            .algorithms(&[Algorithm::Fv])
+            .build();
+        ServeCore::new(SnapshotEngine::new(engine), rc)
     }
 
     fn tiny_core(queue_capacity: usize) -> ServeCore {
-        tiny_core_with_budget(queue_capacity, 2000)
+        tiny_core_from(&tiny_config(queue_capacity))
     }
 
     #[test]
@@ -1035,10 +659,53 @@ mod tests {
     }
 
     #[test]
+    fn socket_hangs_up_on_a_silent_client_after_the_cores_idle_timeout() {
+        let rc = ServeRunConfig {
+            idle_timeout_s: 1,
+            ..tiny_config(64)
+        };
+        let core = Arc::new(tiny_core_from(&rc));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
+        let addr = listener.local_addr().unwrap();
+        let (read, waited) = std::thread::scope(|scope| {
+            let server = {
+                let core = Arc::clone(&core);
+                scope.spawn(move || serve_socket(&core, listener))
+            };
+
+            // Connect and say nothing: the server must close the
+            // connection (EOF here) once the 1 s idle timeout passes.
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let t = Instant::now();
+            let mut byte = [0u8; 1];
+            let read = std::io::Read::read(&mut stream, &mut byte);
+            let waited = t.elapsed();
+
+            // Close our end first so a handler that is still waiting
+            // sees EOF and the server can wind down either way.
+            drop(stream);
+            core.shutdown();
+            server.join().unwrap();
+            (read, waited)
+        });
+        assert!(
+            matches!(read, Ok(0)),
+            "expected EOF from the server, got {read:?} after {waited:?}"
+        );
+        assert!(waited < Duration::from_secs(5), "hung up after {waited:?}");
+    }
+
+    #[test]
     fn reads_expired_in_the_queue_get_timeout_not_results() {
         // A 1 ms budget and no dispatcher while requests age: by the
         // time the dispatcher drains them they are long expired.
-        let core = tiny_core_with_budget(64, 1);
+        let core = tiny_core_from(&ServeRunConfig {
+            read_budget_ms: 1,
+            ..tiny_config(64)
+        });
         let q: Vec<ItemId> = core
             .engine()
             .snapshot()

@@ -237,6 +237,8 @@ impl CoarseIndex {
             stats,
             &mut hits,
         );
+        // Medoid hits are partitions to search, not query results.
+        stats.results -= hits.len() as u64;
         out.extend(
             hits.iter()
                 .map(|&(medoid, d)| (self.medoid_to_partition[medoid.index()], d)),

@@ -355,9 +355,9 @@ impl WorkerHello {
 
 /// Loads the per-shard snapshot at `snapshot`, binds `socket`, and
 /// serves queries until the router disconnects or sends a shutdown
-/// frame. This is the entire body of a shard worker process; both the
-/// `repro shard-worker` subcommand and the test-binary worker are thin
-/// wrappers that call it (usually through [`serve_from_env`]).
+/// frame. This is the entire body of a shard worker process; the
+/// benchmark's `shard-worker` subcommand and the test-binary worker are
+/// thin wrappers that call it (usually through [`serve_from_env`]).
 ///
 /// The snapshot loads in [`LoadMode::Verify`] — a worker spawned from
 /// a torn or bit-flipped shard file refuses to serve rather than

@@ -49,6 +49,11 @@ fn check_dataset(ds: Dataset, k: usize) {
             for alg in Algorithm::ALL {
                 let mut stats = QueryStats::new();
                 let mut got = engine.query_items(alg, q, raw, &mut scratch, &mut stats);
+                assert_eq!(
+                    stats.results,
+                    got.len() as u64,
+                    "{alg} counted results at θ={theta} (query {qi})"
+                );
                 got.sort_unstable();
                 assert_eq!(got, expect, "{alg} at θ={theta} (query {qi})");
             }

@@ -86,8 +86,14 @@ proptest! {
                     }
                     let mut st = QueryStats::new();
                     let mut expect = engine.query_items(alg, &q, raw, &mut mscratch, &mut st);
+                    prop_assert_eq!(st.results, expect.len() as u64, "monolith {} counted results", alg);
                     expect.sort_unstable();
+                    let mut st = QueryStats::new();
                     let got = se.query_items(alg, &q, raw, &mut sscratch, &mut st);
+                    prop_assert_eq!(
+                        st.results, got.len() as u64,
+                        "{:?} S={} {} counted results", strategy, shards, alg
+                    );
                     prop_assert_eq!(
                         got, expect,
                         "{:?} S={} {} θ={}", strategy, shards, alg, theta
