@@ -37,8 +37,7 @@ use std::sync::Arc;
 use ranksim_invindex::drop::omega;
 use ranksim_invindex::{rank_window, validate_rank_sorted, PostingOrder};
 use ranksim_rankings::{
-    ExecStats, ItemId, ItemRemap, Kernel, QueryExecutor, QueryScratch, QueryStats, RankingId,
-    RankingStore,
+    ExecStats, ItemId, ItemRemap, QueryExecutor, QueryScratch, QueryStats, RankingId, RankingStore,
 };
 
 /// Cost-model constants for the adaptive prefix-length choice.
@@ -297,26 +296,16 @@ impl AdaptSearchIndex {
     ) -> Vec<RankingId> {
         let mut scratch = QueryScratch::new();
         let mut out = Vec::new();
-        self.search_into(
-            store,
-            query,
-            theta_raw,
-            Kernel::default(),
-            &mut scratch,
-            stats,
-            &mut out,
-        );
+        self.search_into(store, query, theta_raw, &mut scratch, stats, &mut out);
         out
     }
 
     /// Scratch-reusing AdaptSearch; appends results to `out`.
-    #[allow(clippy::too_many_arguments)]
     pub fn search_into(
         &self,
         store: &RankingStore,
         query: &[ItemId],
         theta_raw: u32,
-        kernel: Kernel,
         scratch: &mut QueryScratch,
         stats: &mut QueryStats,
         out: &mut Vec<RankingId>,
@@ -388,7 +377,7 @@ impl AdaptSearchIndex {
             }
             stats.candidates += 1;
             stats.count_distance();
-            match qmap.distance_within(&self.remap, store.items(RankingId(id)), theta_raw, kernel) {
+            match qmap.distance_within(&self.remap, store.items(RankingId(id)), theta_raw) {
                 Some(dist) if dist <= theta_raw => out.push(RankingId(id)),
                 Some(_) => {}
                 None => stats.validations_pruned += 1,
@@ -512,19 +501,12 @@ pub struct AdaptIndexParts {
 /// [`QueryExecutor`] running AdaptSearch over a shared delta index.
 pub struct AdaptSearchExecutor {
     index: Arc<AdaptSearchIndex>,
-    kernel: Kernel,
 }
 
 impl AdaptSearchExecutor {
-    /// Wraps a shared delta index with the default distance kernel.
+    /// Wraps a shared delta index.
     pub fn new(index: Arc<AdaptSearchIndex>) -> Self {
-        Self::with_kernel(index, Kernel::default())
-    }
-
-    /// Wraps a shared delta index with an explicit distance kernel for
-    /// the verification phase.
-    pub fn with_kernel(index: Arc<AdaptSearchIndex>, kernel: Kernel) -> Self {
-        AdaptSearchExecutor { index, kernel }
+        AdaptSearchExecutor { index }
     }
 }
 
@@ -544,7 +526,7 @@ impl QueryExecutor for AdaptSearchExecutor {
     ) -> ExecStats {
         let before = *stats;
         self.index
-            .search_into(store, query, theta_raw, self.kernel, scratch, stats, out);
+            .search_into(store, query, theta_raw, scratch, stats, out);
         ExecStats::since(&before, stats)
     }
 }
@@ -663,15 +645,7 @@ mod tests {
             let mut s1 = QueryStats::new();
             let mut s2 = QueryStats::new();
             let mut got = Vec::new();
-            index.search_into(
-                &store,
-                &q,
-                raw,
-                Kernel::default(),
-                &mut shared,
-                &mut s1,
-                &mut got,
-            );
+            index.search_into(&store, &q, raw, &mut shared, &mut s1, &mut got);
             let mut expect = index.search(&store, &q, raw, &mut s2);
             got.sort_unstable();
             expect.sort_unstable();
@@ -759,26 +733,11 @@ mod tests {
                 let mut expect = scan(&store, &q, raw);
                 expect.sort_unstable();
                 for index in [&by_id, &ordered] {
-                    for kernel in [Kernel::Scalar, Kernel::Simd] {
-                        let mut stats = QueryStats::new();
-                        let mut got = Vec::new();
-                        index.search_into(
-                            &store,
-                            &q,
-                            raw,
-                            kernel,
-                            &mut scratch,
-                            &mut stats,
-                            &mut got,
-                        );
-                        got.sort_unstable();
-                        assert_eq!(
-                            got,
-                            expect,
-                            "order {} kernel {kernel} θ={theta}",
-                            index.order()
-                        );
-                    }
+                    let mut stats = QueryStats::new();
+                    let mut got = Vec::new();
+                    index.search_into(&store, &q, raw, &mut scratch, &mut stats, &mut got);
+                    got.sort_unstable();
+                    assert_eq!(got, expect, "order {} θ={theta}", index.order());
                 }
             }
         }
@@ -808,24 +767,8 @@ mod tests {
             q.swap(0, 2);
             let (mut s_id, mut s_sb) = (QueryStats::new(), QueryStats::new());
             let (mut got_id, mut got_sb) = (Vec::new(), Vec::new());
-            by_id.search_into(
-                &store,
-                &q,
-                raw,
-                Kernel::Scalar,
-                &mut scratch,
-                &mut s_id,
-                &mut got_id,
-            );
-            ordered.search_into(
-                &store,
-                &q,
-                raw,
-                Kernel::Simd,
-                &mut scratch,
-                &mut s_sb,
-                &mut got_sb,
-            );
+            by_id.search_into(&store, &q, raw, &mut scratch, &mut s_id, &mut got_id);
+            ordered.search_into(&store, &q, raw, &mut scratch, &mut s_sb, &mut got_sb);
             got_id.sort_unstable();
             got_sb.sort_unstable();
             assert_eq!(got_id, got_sb, "seed {seed}");

@@ -11,13 +11,19 @@
 //! return identical result sets before anything is timed.
 //!
 //! On top of the legacy-vs-CSR comparison, a **kernel grid** times the
-//! same workload through three engine configurations per algorithm:
+//! same workload through three arms per algorithm:
 //!
 //! | arm | posting order | distance kernel |
 //! |---|---|---|
-//! | `scalar` | insertion (`Id`) | [`Kernel::Scalar`] — the oracle |
-//! | `simd` | insertion (`Id`) | [`Kernel::Simd`] |
-//! | `suffix-bound` | [`PostingOrder::SuffixBound`] | [`Kernel::Simd`] |
+//! | `scalar` | insertion (`Id`) | reference loop `FlatPositionMap::distance_to` |
+//! | `simd` | insertion (`Id`) | chunked `FlatPositionMap::distance_within` |
+//! | `suffix-bound` | [`PostingOrder::SuffixBound`] | chunked `distance_within` |
+//!
+//! The `simd` and `suffix-bound` arms are engines. The engine has one
+//! distance kernel, so the `scalar` arm's F&V cell is a bench-local copy
+//! of the engine's id-order F&V path ([`scalar_filter_validate`]) that
+//! validates through the reference loop; its ListMerge cell, which makes
+//! no distance calls, runs on a freshly built insertion-ordered engine.
 //!
 //! All arms are verified result-set-identical before timing, and the
 //! suffix-bound arm's early-termination counters (posting-window skip
@@ -40,11 +46,11 @@ use std::time::Instant;
 
 use ranksim_bench::{Bench, ExpConfig, Family};
 use ranksim_core::engine::{Algorithm, Engine, EngineBuilder};
-use ranksim_invindex::{Posting, PostingOrder};
+use ranksim_invindex::{PlainInvertedIndex, Posting, PostingOrder};
 use ranksim_rankings::hash::{fx_map_with_capacity, fx_set_with_capacity, FxHashMap};
 use ranksim_rankings::{
-    one_side_total, raw_threshold, ExecStats, ItemId, Kernel, PositionMap, QueryStats, RankingId,
-    RankingStore,
+    one_side_total, raw_threshold, ExecStats, ItemId, PositionMap, QueryScratch, QueryStats,
+    RankingId, RankingStore,
 };
 
 /// The pre-refactor `PlainInvertedIndex`: one heap-allocated `Vec` per
@@ -172,7 +178,7 @@ impl Comparison {
 }
 
 /// One algorithm's row of the kernel grid: mean ms per 1000 queries for
-/// the scalar oracle, the SIMD kernel and the suffix-bound-ordered +
+/// the scalar reference loop, the SIMD kernel and the suffix-bound-ordered +
 /// SIMD configuration, plus the suffix-bound arm's early-termination
 /// counters.
 struct KernelRow {
@@ -211,12 +217,89 @@ impl KernelRow {
     }
 }
 
-/// Measures one kernel-grid arm in isolation: a verification pass per
-/// algorithm against the precomputed oracle result sets (doubling as
-/// warmup and as the [`ExecStats`] source), then `rounds` consecutive
-/// timed passes per algorithm. Keeping each arm's passes back-to-back —
-/// instead of round-robining the arms — stops the engines from evicting
-/// each other's postings between timed passes.
+/// The scalar arm's F&V: the id-order path of the engine's F&V
+/// (`ranksim_invindex::fv::filter_validate_into` over all query
+/// positions) — the same epoch-set candidate union, the same
+/// [`QueryStats`] calls, the same `(id, distance)` hit buffer — with
+/// every candidate validated through the reference loop
+/// [`ranksim_rankings::FlatPositionMap::distance_to`] instead of the
+/// chunked, suffix-bound-aborting kernel.
+fn scalar_filter_validate(
+    index: &PlainInvertedIndex,
+    store: &RankingStore,
+    query: &[ItemId],
+    theta_raw: u32,
+    scratch: &mut QueryScratch,
+    stats: &mut QueryStats,
+    out: &mut Vec<RankingId>,
+) {
+    out.clear();
+    let remap = index.remap();
+    let QueryScratch {
+        qmap, marks, hits, ..
+    } = scratch;
+    hits.clear();
+    marks.begin(store.len());
+    for &item in query {
+        if let Some(list) = index.list(item) {
+            stats.count_list(list.len());
+            for &id in list {
+                marks.mark(id.0);
+            }
+        } else {
+            stats.count_list(0);
+        }
+    }
+    stats.candidates += marks.len() as u64;
+    qmap.build(remap, query);
+    for &id in marks.keys() {
+        stats.count_distance();
+        let d = qmap.distance_to(remap, store.items(RankingId(id)));
+        if d <= theta_raw {
+            hits.push((RankingId(id), d));
+        }
+    }
+    stats.results += hits.len() as u64;
+    out.extend(hits.iter().map(|&(id, _)| id));
+}
+
+/// Measures one kernel-grid cell in isolation: a verification pass of
+/// `run` against the precomputed oracle result sets (`oracles[_][ai]`,
+/// doubling as warmup and as the [`ExecStats`] source), then `rounds`
+/// consecutive timed passes.
+fn measure_cell(
+    queries: &[Vec<ItemId>],
+    oracles: &[[Vec<RankingId>; 2]],
+    ai: usize,
+    scale_to_1000: f64,
+    rounds: usize,
+    label: &str,
+    mut run: impl FnMut(&[ItemId], &mut QueryStats, &mut Vec<RankingId>),
+) -> (f64, ExecStats) {
+    let mut stats = QueryStats::new();
+    let mut out = Vec::new();
+    let mut exec = ExecStats::default();
+    for (q, oracle) in queries.iter().zip(oracles) {
+        let before = stats;
+        run(q, &mut stats, &mut out);
+        exec.merge(&ExecStats::since(&before, &stats));
+        out.sort_unstable();
+        assert_eq!(&out, &oracle[ai], "{label} arm disagrees with legacy");
+    }
+    let mut ms = 0.0;
+    for _ in 0..rounds {
+        ms += time_pass(queries, scale_to_1000, |q| {
+            run(q, &mut stats, &mut out);
+            std::hint::black_box(out.len());
+        });
+    }
+    (ms / rounds as f64, exec)
+}
+
+/// Measures the F&V (`ai` 0) and ListMerge (`ai` 1) cells of one engine
+/// arm. Keeping each arm's passes back-to-back — instead of
+/// round-robining the arms — stops the engines from evicting each
+/// other's postings between timed passes.
 fn measure_arm(
     engine: &Engine,
     queries: &[Vec<ItemId>],
@@ -227,29 +310,17 @@ fn measure_arm(
     label: &str,
 ) -> [(f64, ExecStats); 2] {
     let mut scratch = engine.scratch();
-    let mut stats = QueryStats::new();
-    let mut out = Vec::new();
-    let mut cells = [(0.0, ExecStats::default()), (0.0, ExecStats::default())];
-    for (ai, alg) in [Algorithm::Fv, Algorithm::ListMerge]
-        .into_iter()
-        .enumerate()
-    {
-        for (q, oracle) in queries.iter().zip(oracles) {
-            let trace =
-                engine.query_into_traced(alg, q, theta_raw, &mut scratch, &mut stats, &mut out);
-            cells[ai].1.merge(&trace.exec);
-            out.sort_unstable();
-            assert_eq!(&out, &oracle[ai], "{alg} {label} arm disagrees with legacy");
-        }
-        for _ in 0..rounds {
-            cells[ai].0 += time_pass(queries, scale_to_1000, |q| {
-                engine.query_into(alg, q, theta_raw, &mut scratch, &mut stats, &mut out);
-                std::hint::black_box(out.len());
-            });
-        }
-        cells[ai].0 /= rounds as f64;
-    }
-    cells
+    [(0, Algorithm::Fv), (1, Algorithm::ListMerge)].map(|(ai, alg)| {
+        measure_cell(
+            queries,
+            oracles,
+            ai,
+            scale_to_1000,
+            rounds,
+            &format!("{alg} {label}"),
+            |q, stats, out| engine.query_into(alg, q, theta_raw, &mut scratch, stats, out),
+        )
+    })
 }
 
 fn main() {
@@ -343,26 +414,43 @@ fn main() {
         c.csr_ms /= rounds as f64;
     }
 
-    // Kernel grid: scalar oracle, SIMD kernel, suffix-bound order + SIMD
-    // kernel — each arm measured in isolation (its engine is built, its
-    // passes run back-to-back, then it is dropped). `engine` (the CSR
-    // arm above) doubles as the `simd` arm: insertion order + SIMD
-    // kernel is the engine default.
+    // The kernel grid: scalar reference loop, SIMD kernel, suffix-bound
+    // order + SIMD kernel — each arm measured in isolation (its index or
+    // engine is built, its passes run back-to-back, then it is dropped).
+    // `engine` (the CSR arm above) doubles as the `simd` arm: insertion
+    // order is the engine default.
     let scalar_cells = {
-        let engine_scalar = EngineBuilder::new(store.clone())
-            .algorithms(&[Algorithm::Fv, Algorithm::ListMerge])
-            .kernel(Kernel::Scalar)
-            .posting_order(PostingOrder::Id)
-            .build();
-        measure_arm(
-            &engine_scalar,
+        let plain = PlainInvertedIndex::build(store);
+        let mut fv_scratch = QueryScratch::new();
+        let fv_cell = measure_cell(
             &bench.queries,
             &oracles,
-            raw,
+            0,
             bench.scale_to_1000,
             rounds,
-            "scalar",
-        )
+            "F&V scalar",
+            |q, stats, out| {
+                scalar_filter_validate(&plain, store, q, raw, &mut fv_scratch, stats, out)
+            },
+        );
+        drop(plain);
+        let engine_scalar = EngineBuilder::new(store.clone())
+            .algorithms(&[Algorithm::Fv, Algorithm::ListMerge])
+            .posting_order(PostingOrder::Id)
+            .build();
+        let mut lm_scratch = engine_scalar.scratch();
+        let lm_cell = measure_cell(
+            &bench.queries,
+            &oracles,
+            1,
+            bench.scale_to_1000,
+            rounds,
+            "ListMerge scalar",
+            |q, stats, out| {
+                engine_scalar.query_into(Algorithm::ListMerge, q, raw, &mut lm_scratch, stats, out)
+            },
+        );
+        [fv_cell, lm_cell]
     };
     let simd_cells = measure_arm(
         &engine,
@@ -376,7 +464,6 @@ fn main() {
     let suffix_cells = {
         let engine_suffix = EngineBuilder::new(store.clone())
             .algorithms(&[Algorithm::Fv, Algorithm::ListMerge])
-            .kernel(Kernel::Simd)
             .posting_order(PostingOrder::SuffixBound)
             .build();
         measure_arm(

@@ -7,16 +7,12 @@
 //! RANKSIM_NYT_N=100000 cargo run -p ranksim-bench --release --bin repro -- fig7
 //! # cost-model planner vs the per-configuration oracle, restricted set:
 //! cargo run -p ranksim-bench --release --bin repro -- --algorithms fv,listmerge,coarse planner
-//! # A/B the position-compare kernels (results are bit-identical):
-//! cargo run -p ranksim-bench --release --bin repro -- --kernel scalar fig8
 //! ```
 //!
 //! `--scale small|default|paper` picks the corpus-size baseline;
 //! `--algorithms a,b,c` feeds the planner's candidate set (paper names or
-//! lax spellings: `fv`, `F&V+Drop`, `blocked_prune`, …); `--kernel
-//! scalar|simd` selects the distance kernel the experiment engines run
-//! (default `simd`); `RANKSIM_*` environment variables still override
-//! individual knobs.
+//! lax spellings: `fv`, `F&V+Drop`, `blocked_prune`, …); `RANKSIM_*`
+//! environment variables still override individual knobs.
 //!
 //! `repro` reproduces the paper. System performance numbers (sharding,
 //! serving, durability, persistence, worker processes) come from the
@@ -42,20 +38,6 @@ fn main() {
         };
         args.drain(pos..=pos + 1);
     }
-    if let Some(pos) = args.iter().position(|a| a == "--kernel") {
-        let Some(value) = args.get(pos + 1) else {
-            eprintln!("--kernel needs a value: scalar | simd");
-            std::process::exit(2);
-        };
-        match parse_kernel_flag(value) {
-            Ok(kernel) => base.kernel = kernel,
-            Err(e) => {
-                eprintln!("--kernel: {e}");
-                std::process::exit(2);
-            }
-        }
-        args.drain(pos..=pos + 1);
-    }
     let mut algorithms: Option<Vec<Algorithm>> = None;
     if let Some(pos) = args.iter().position(|a| a == "--algorithms") {
         let Some(list) = args.get(pos + 1) else {
@@ -78,8 +60,8 @@ fn main() {
     }
     let cfg = base.with_env_overrides();
     eprintln!(
-        "# config: nyt_n={} yago_n={} queries={} kernel={} (override via RANKSIM_NYT_N / RANKSIM_YAGO_N / RANKSIM_QUERIES / RANKSIM_KERNEL)",
-        cfg.nyt_n, cfg.yago_n, cfg.queries, cfg.kernel
+        "# config: nyt_n={} yago_n={} queries={} (override via RANKSIM_NYT_N / RANKSIM_YAGO_N / RANKSIM_QUERIES)",
+        cfg.nyt_n, cfg.yago_n, cfg.queries
     );
     let t0 = std::time::Instant::now();
     match what {

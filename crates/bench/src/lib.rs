@@ -31,7 +31,7 @@ use ranksim_invindex::{
     AugmentedInvertedIndex, BlockedInvertedIndex, MinimalFv, PlainInvertedIndex,
 };
 use ranksim_metricspace::{query_pairs, BkPartitioner, BkTree, MTree, VpTree};
-use ranksim_rankings::{raw_threshold, ItemId, Kernel, QueryScratch, QueryStats, RankingStore};
+use ranksim_rankings::{raw_threshold, ItemId, QueryScratch, QueryStats, RankingStore};
 
 /// Experiment scaling configuration (from the environment).
 #[derive(Debug, Clone, Copy)]
@@ -44,10 +44,6 @@ pub struct ExpConfig {
     pub queries: usize,
     /// Base RNG seed.
     pub seed: u64,
-    /// Position-compare kernel the experiment engines run (`repro
-    /// --kernel scalar|simd`, or `RANKSIM_KERNEL`). Results are
-    /// bit-identical across kernels; only speed differs.
-    pub kernel: Kernel,
 }
 
 impl ExpConfig {
@@ -71,10 +67,6 @@ impl ExpConfig {
             yago_n: get("RANKSIM_YAGO_N", self.yago_n),
             queries: get("RANKSIM_QUERIES", self.queries),
             seed: self.seed,
-            kernel: std::env::var("RANKSIM_KERNEL")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(self.kernel),
         }
     }
 
@@ -85,7 +77,6 @@ impl ExpConfig {
             yago_n: 25_000,
             queries: 200,
             seed: 42,
-            kernel: Kernel::Simd,
         }
     }
 
@@ -96,7 +87,6 @@ impl ExpConfig {
             yago_n: 6_000,
             queries: 50,
             seed: 42,
-            kernel: Kernel::Simd,
         }
     }
 
@@ -110,7 +100,6 @@ impl ExpConfig {
             yago_n: 25_000,
             queries: 1000,
             seed: 42,
-            kernel: Kernel::Simd,
         }
     }
 
@@ -444,7 +433,6 @@ pub fn fig7_sweep(bench: &Bench, theta: f64, theta_cs: &[f64]) -> Vec<Fig7Row> {
                     q,
                     theta_raw,
                     false,
-                    Kernel::default(),
                     &mut scratch,
                     &mut stats,
                     &mut filtered,
@@ -595,7 +583,6 @@ impl ComparisonSetup {
         let engine = EngineBuilder::new(bench.ds.store.clone())
             .coarse_threshold(0.5)
             .coarse_drop_threshold(0.06)
-            .kernel(cfg.kernel)
             .build();
         let oracles = thetas
             .iter()
@@ -768,14 +755,6 @@ pub fn parse_algorithms_flag(list: &str) -> Result<Vec<Algorithm>, String> {
         }
         Err(e) => Err(e.to_string()),
     }
-}
-
-/// Parses the `--kernel` flag value: the position-compare kernel every
-/// experiment engine runs (`scalar` — the exact oracle — or `simd`).
-/// Results are bit-identical across kernels; the flag exists for A/B
-/// speed measurement.
-pub fn parse_kernel_flag(value: &str) -> Result<Kernel, String> {
-    value.trim().parse().map_err(|e| format!("{e}"))
 }
 
 impl PlannerRunConfig {
@@ -952,7 +931,6 @@ pub fn run_planner_sweep(cfg: &ExpConfig, rc: &PlannerRunConfig) -> PlannerRepor
         let engine = EngineBuilder::new(bench.ds.store.clone())
             .coarse_threshold(0.5)
             .coarse_drop_threshold(0.06)
-            .kernel(cfg.kernel)
             .algorithms(&selected)
             .build();
         let mut scratch = engine.scratch();
@@ -1159,23 +1137,6 @@ mod tests {
             "Auto is not a candidate"
         );
         assert!(parse_algorithms_flag("").is_err());
-    }
-
-    #[test]
-    fn kernel_flag_parses_both_kernels_and_rejects_bad_input() {
-        assert_eq!(parse_kernel_flag("scalar").unwrap(), Kernel::Scalar);
-        assert_eq!(parse_kernel_flag("simd").unwrap(), Kernel::Simd);
-        assert_eq!(parse_kernel_flag(" SIMD ").unwrap(), Kernel::Simd);
-        let err = parse_kernel_flag("avx512").unwrap_err();
-        assert!(err.contains("avx512"), "error names the bad value: {err}");
-        assert!(parse_kernel_flag("").is_err());
-    }
-
-    #[test]
-    fn exp_config_defaults_to_the_simd_kernel() {
-        assert_eq!(ExpConfig::default_scale().kernel, Kernel::Simd);
-        assert_eq!(ExpConfig::small().kernel, Kernel::Simd);
-        assert_eq!(ExpConfig::paper().kernel, Kernel::Simd);
     }
 
     #[test]

@@ -33,8 +33,7 @@ use crate::engine::{Algorithm, Engine};
 use crate::planner::PlanStats;
 use ranksim_metricspace::query_pairs_into;
 use ranksim_rankings::{
-    footrule_items, footrule_pairs, ItemId, Kernel, QueryScratch, QueryStats, RankingId,
-    RankingStore,
+    footrule_items, footrule_pairs, ItemId, QueryScratch, QueryStats, RankingId, RankingStore,
 };
 
 /// What one worker of a work-stealing batch run did.
@@ -372,7 +371,6 @@ pub fn batch_query(
             leader,
             theta.saturating_add(rho_raw),
             false,
-            Kernel::default(),
             &mut scratch,
             stats,
             &mut shared,

@@ -26,7 +26,7 @@ use ranksim_invindex::fv::filter_validate_relaxed_into;
 use ranksim_invindex::PlainInvertedIndex;
 use ranksim_metricspace::{query_pairs_into, BkPartitioner, Partitioning};
 use ranksim_rankings::{
-    footrule_pairs, ExecStats, ItemId, ItemRemap, Kernel, QueryExecutor, QueryScratch, QueryStats,
+    footrule_pairs, ExecStats, ItemId, ItemRemap, QueryExecutor, QueryScratch, QueryStats,
     RankingId, RankingStore,
 };
 
@@ -187,7 +187,6 @@ impl CoarseIndex {
             query,
             theta_raw,
             drop_lists,
-            Kernel::default(),
             &mut scratch,
             stats,
             &mut out,
@@ -196,9 +195,7 @@ impl CoarseIndex {
     }
 
     /// Scratch-reusing filtering phase; appends `(partition, medoid
-    /// distance)` pairs to `out`. `kernel` selects the position-compare
-    /// kernel for the medoid validations (both kernels are exact for
-    /// in-threshold medoids, so the filtered set is identical).
+    /// distance)` pairs to `out`.
     #[allow(clippy::too_many_arguments)]
     pub fn filter_into(
         &self,
@@ -206,7 +203,6 @@ impl CoarseIndex {
         query: &[ItemId],
         theta_raw: u32,
         drop_lists: bool,
-        kernel: Kernel,
         scratch: &mut QueryScratch,
         stats: &mut QueryStats,
         out: &mut Vec<(u32, u32)>,
@@ -232,7 +228,6 @@ impl CoarseIndex {
             query,
             relaxed,
             drop_lists,
-            kernel,
             scratch,
             stats,
             &mut hits,
@@ -328,7 +323,6 @@ impl CoarseIndex {
             query,
             theta_raw,
             drop_lists,
-            Kernel::default(),
             &mut scratch,
             stats,
             &mut out,
@@ -344,7 +338,6 @@ impl CoarseIndex {
         query: &[ItemId],
         theta_raw: u32,
         drop_lists: bool,
-        kernel: Kernel,
         scratch: &mut QueryScratch,
         stats: &mut QueryStats,
         out: &mut Vec<RankingId>,
@@ -356,7 +349,6 @@ impl CoarseIndex {
             query,
             theta_raw,
             drop_lists,
-            kernel,
             scratch,
             stats,
             &mut filtered,
@@ -448,23 +440,12 @@ pub(crate) struct CoarseIndexParts {
 pub struct CoarseExecutor {
     index: Arc<CoarseIndex>,
     drop_lists: bool,
-    kernel: Kernel,
 }
 
 impl CoarseExecutor {
     /// Wraps a shared coarse index; `drop_lists` selects `Coarse+Drop`.
     pub fn new(index: Arc<CoarseIndex>, drop_lists: bool) -> Self {
-        Self::with_kernel(index, drop_lists, Kernel::default())
-    }
-
-    /// Like [`CoarseExecutor::new`] with an explicit distance kernel for
-    /// the medoid-filter validations.
-    pub fn with_kernel(index: Arc<CoarseIndex>, drop_lists: bool, kernel: Kernel) -> Self {
-        CoarseExecutor {
-            index,
-            drop_lists,
-            kernel,
-        }
+        CoarseExecutor { index, drop_lists }
     }
 }
 
@@ -492,7 +473,6 @@ impl QueryExecutor for CoarseExecutor {
             query,
             theta_raw,
             self.drop_lists,
-            self.kernel,
             scratch,
             stats,
             out,
@@ -533,16 +513,7 @@ mod tests {
                 let mut got = index.query(store, q, raw, false, &mut s2);
                 // The drop arm reuses one scratch across the whole sweep.
                 let mut got_drop = Vec::new();
-                index.query_into(
-                    store,
-                    q,
-                    raw,
-                    true,
-                    Kernel::default(),
-                    &mut scratch,
-                    &mut s3,
-                    &mut got_drop,
-                );
+                index.query_into(store, q, raw, true, &mut scratch, &mut s3, &mut got_drop);
                 expect.sort_unstable();
                 got.sort_unstable();
                 got_drop.sort_unstable();
@@ -612,16 +583,7 @@ mod tests {
                 let mut s2 = QueryStats::new();
                 let mut expect = linear_scan(&store, &qp, raw, &mut s1);
                 let mut got = Vec::new();
-                index.query_into(
-                    &store,
-                    &q,
-                    raw,
-                    false,
-                    Kernel::default(),
-                    &mut scratch,
-                    &mut s2,
-                    &mut got,
-                );
+                index.query_into(&store, &q, raw, false, &mut scratch, &mut s2, &mut got);
                 expect.sort_unstable();
                 got.sort_unstable();
                 assert_eq!(got, expect, "qid={qid} θ={theta}");

@@ -45,8 +45,8 @@ use ranksim_invindex::{
 use ranksim_metricspace::{knn_linear, query_pairs_into, KnnHeap};
 use ranksim_rankings::{
     footrule_pairs, max_distance, raw_threshold, validate_items, ExecStats, ItemId, ItemRemap,
-    Kernel, QueryExecutor, QueryScratch, QueryStats, Ranking, RankingError, RankingId,
-    RankingStore, RemapParts, StoreParts,
+    QueryExecutor, QueryScratch, QueryStats, Ranking, RankingError, RankingId, RankingStore,
+    RemapParts, StoreParts,
 };
 
 /// Process-wide generation source: every engine build, compaction and
@@ -58,6 +58,12 @@ static GENERATION: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::
 fn next_generation() -> u64 {
     GENERATION.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1
 }
+
+/// Mutation budget after which the planner's sampled corpus statistics
+/// (distance CDF, Zipf skew, coarse cost tables) are refreshed at
+/// mutation time; posting-length counts track every mutation exactly
+/// regardless.
+const PLANNER_REFRESH_BUDGET: usize = 1024;
 
 /// The query-processing techniques of the paper's evaluation, plus
 /// cost-model-driven automatic selection.
@@ -236,12 +242,6 @@ struct EngineConfig {
     /// Auto-compaction trigger: compact once base tombstones exceed this
     /// fraction of the base live size (`f64::INFINITY` disables).
     compact_tombstone_fraction: f64,
-    /// Planner corpus-statistics refresh budget in mutations.
-    planner_refresh_budget: usize,
-    /// Position-compare kernel every distance-dominated executor runs
-    /// (see [`Kernel`]; default [`Kernel::Simd`] — results are
-    /// bit-identical across kernels, only counters and speed differ).
-    kernel: Kernel,
     /// Build-time ordering of the CSR posting slices (see
     /// [`PostingOrder`]; default [`PostingOrder::Id`], the classic
     /// layout — `SuffixBound` enables threshold-window scans).
@@ -265,19 +265,9 @@ impl EngineBuilder {
                 selected: None,
                 calibrated: None,
                 compact_tombstone_fraction: 0.5,
-                planner_refresh_budget: 1024,
-                kernel: Kernel::default(),
                 posting_order: PostingOrder::default(),
             },
         }
-    }
-
-    /// Selects the position-compare kernel for every distance-dominated
-    /// executor (default [`Kernel::Simd`]). Result sets are bit-identical
-    /// across kernels; only speed and the pruning counters differ.
-    pub fn kernel(mut self, kernel: Kernel) -> Self {
-        self.config.kernel = kernel;
-        self
     }
 
     /// Selects the build-time ordering of the CSR posting slices (default
@@ -296,15 +286,6 @@ impl EngineBuilder {
     /// leaves compaction fully to the caller).
     pub fn compaction_threshold(mut self, tombstone_fraction: f64) -> Self {
         self.config.compact_tombstone_fraction = tombstone_fraction;
-        self
-    }
-
-    /// Mutation budget after which the planner's sampled corpus
-    /// statistics (distance CDF, Zipf skew, coarse cost tables) are
-    /// refreshed at mutation time (default 1024; posting-length counts
-    /// track every mutation exactly regardless).
-    pub fn planner_refresh_budget(mut self, mutations: usize) -> Self {
-        self.config.planner_refresh_budget = mutations.max(1);
         self
     }
 
@@ -476,15 +457,8 @@ fn build_parts(store: &RankingStore, config: &EngineConfig, remap: Arc<ItemRemap
             drop_theta,
         ))
     });
-    let executors = build_executor_table(
-        &plain,
-        &augmented,
-        &blocked,
-        &adapt,
-        &coarse,
-        &coarse_drop,
-        config.kernel,
-    );
+    let executors =
+        build_executor_table(&plain, &augmented, &blocked, &adapt, &coarse, &coarse_drop);
 
     let planner = want_auto.then(|| {
         let costs = config
@@ -526,46 +500,33 @@ fn build_executor_table(
     adapt: &Option<Arc<AdaptSearchIndex>>,
     coarse: &Option<Arc<CoarseIndex>>,
     coarse_drop: &Option<Arc<CoarseIndex>>,
-    kernel: Kernel,
 ) -> Vec<Option<Box<dyn QueryExecutor>>> {
     let mut executors: Vec<Option<Box<dyn QueryExecutor>>> =
         (0..Algorithm::COUNT).map(|_| None).collect();
     let slot = |a: Algorithm| a.dense_index().expect("concrete algorithm");
     if let Some(p) = plain {
-        executors[slot(Algorithm::Fv)] = Some(Box::new(FvExecutor::with_kernel(p.clone(), kernel)));
-        executors[slot(Algorithm::FvDrop)] =
-            Some(Box::new(FvDropExecutor::with_kernel(p.clone(), kernel)));
+        executors[slot(Algorithm::Fv)] = Some(Box::new(FvExecutor::new(p.clone())));
+        executors[slot(Algorithm::FvDrop)] = Some(Box::new(FvDropExecutor::new(p.clone())));
     }
     if let Some(a) = augmented {
         executors[slot(Algorithm::ListMerge)] = Some(Box::new(ListMergeExecutor::new(a.clone())));
     }
     if let Some(b) = blocked {
-        executors[slot(Algorithm::BlockedPrune)] = Some(Box::new(
-            BlockedPruneExecutor::with_kernel(b.clone(), false, kernel),
-        ));
-        executors[slot(Algorithm::BlockedPruneDrop)] = Some(Box::new(
-            BlockedPruneExecutor::with_kernel(b.clone(), true, kernel),
-        ));
+        executors[slot(Algorithm::BlockedPrune)] =
+            Some(Box::new(BlockedPruneExecutor::new(b.clone(), false)));
+        executors[slot(Algorithm::BlockedPruneDrop)] =
+            Some(Box::new(BlockedPruneExecutor::new(b.clone(), true)));
     }
     if let Some(a) = adapt {
-        executors[slot(Algorithm::AdaptSearch)] = Some(Box::new(AdaptSearchExecutor::with_kernel(
-            a.clone(),
-            kernel,
-        )));
+        executors[slot(Algorithm::AdaptSearch)] =
+            Some(Box::new(AdaptSearchExecutor::new(a.clone())));
     }
     if let Some(c) = coarse {
-        executors[slot(Algorithm::Coarse)] = Some(Box::new(CoarseExecutor::with_kernel(
-            c.clone(),
-            false,
-            kernel,
-        )));
+        executors[slot(Algorithm::Coarse)] = Some(Box::new(CoarseExecutor::new(c.clone(), false)));
     }
     if let Some(c) = coarse_drop.as_ref().or(coarse.as_ref()) {
-        executors[slot(Algorithm::CoarseDrop)] = Some(Box::new(CoarseExecutor::with_kernel(
-            c.clone(),
-            true,
-            kernel,
-        )));
+        executors[slot(Algorithm::CoarseDrop)] =
+            Some(Box::new(CoarseExecutor::new(c.clone(), true)));
     }
     executors
 }
@@ -582,9 +543,6 @@ pub(crate) struct EngineConfigParts {
     pub selected: Option<Vec<u32>>,
     pub calibrated: Option<(f64, f64)>,
     pub compact_tombstone_fraction: f64,
-    pub planner_refresh_budget: u64,
-    /// [`Kernel::to_tag`] of the configured distance kernel.
-    pub kernel: u32,
     /// [`PostingOrder::to_tag`] of the configured posting order.
     pub posting_order: u32,
 }
@@ -685,11 +643,6 @@ impl Engine {
         self.planner.as_ref()
     }
 
-    /// The configured position-compare kernel.
-    pub fn kernel(&self) -> Kernel {
-        self.config.kernel
-    }
-
     /// The configured CSR posting-slice ordering.
     pub fn posting_order(&self) -> PostingOrder {
         self.config.posting_order
@@ -739,7 +692,6 @@ impl Engine {
                 &self.adapt,
                 &self.coarse,
                 &self.coarse_drop,
-                self.config.kernel,
             ),
             planner: self.planner.as_ref().map(Planner::fork),
             config: self.config.clone(),
@@ -772,8 +724,6 @@ impl Engine {
                     .calibrated
                     .map(|c| (c.footrule_ns, c.merge_posting_ns)),
                 compact_tombstone_fraction: self.config.compact_tombstone_fraction,
-                planner_refresh_budget: self.config.planner_refresh_budget as u64,
-                kernel: self.config.kernel.to_tag(),
                 posting_order: self.config.posting_order.to_tag(),
             },
             plain: self.plain.as_ref().map(|i| i.export_parts()),
@@ -877,8 +827,6 @@ impl Engine {
                 merge_posting_ns: m,
             }),
             compact_tombstone_fraction: parts.config.compact_tombstone_fraction,
-            planner_refresh_budget: (parts.config.planner_refresh_budget as usize).max(1),
-            kernel: Kernel::from_tag(parts.config.kernel)?,
             posting_order,
         };
         // The mutation overlay must describe this store exactly: the
@@ -912,15 +860,8 @@ impl Engine {
                 delta.len()
             ));
         }
-        let executors = build_executor_table(
-            &plain,
-            &augmented,
-            &blocked,
-            &adapt,
-            &coarse,
-            &coarse_drop,
-            config.kernel,
-        );
+        let executors =
+            build_executor_table(&plain, &augmented, &blocked, &adapt, &coarse, &coarse_drop);
         Ok(Engine {
             store,
             remap,
@@ -1111,7 +1052,7 @@ impl Engine {
     fn after_mutation(&mut self) {
         self.generation = next_generation();
         if let Some(planner) = &mut self.planner {
-            if planner.pending_mutations() >= self.config.planner_refresh_budget {
+            if planner.pending_mutations() >= PLANNER_REFRESH_BUDGET {
                 planner.refresh_corpus_stats(&self.store);
             }
         }

@@ -60,8 +60,10 @@ use ranksim_rankings::{RankingId, RemapParts, StoreParts};
 /// File magic: "RSSN" (RankSim SNapshot).
 pub const MAGIC: [u8; 4] = *b"RSSN";
 /// Current container format version; every other version is refused
-/// (v3 dropped the top-k tree section and its two build flags).
-pub const FORMAT_VERSION: u32 = 3;
+/// (v3 dropped the top-k tree section and its two build flags; v4
+/// dropped the kernel tag and the planner refresh budget from the
+/// engine META and the shard manifest).
+pub const FORMAT_VERSION: u32 = 4;
 
 const HEADER_LEN: usize = 16;
 const ENTRY_LEN: usize = 32;
@@ -668,8 +670,6 @@ fn enc_meta(meta: SnapshotMeta, cfg: &EngineConfigParts) -> Vec<u8> {
     put_f64(&mut out, ca);
     put_f64(&mut out, cb);
     put_f64(&mut out, cfg.compact_tombstone_fraction);
-    put_u64(&mut out, cfg.planner_refresh_budget);
-    put_u32w(&mut out, cfg.kernel);
     put_u32w(&mut out, cfg.posting_order);
     out
 }
@@ -689,8 +689,6 @@ fn dec_meta(payload: &[u8]) -> Result<(SnapshotMeta, EngineConfigParts), Persist
     let ca = c.f64()?;
     let cb = c.f64()?;
     let compact_tombstone_fraction = c.f64()?;
-    let planner_refresh_budget = c.u64()?;
-    let kernel = c.u32w()?;
     let posting_order = c.u32w()?;
     c.finish()?;
     Ok((
@@ -701,8 +699,6 @@ fn dec_meta(payload: &[u8]) -> Result<(SnapshotMeta, EngineConfigParts), Persist
             selected: has_selected.then_some(selected),
             calibrated: has_calibrated.then_some((ca, cb)),
             compact_tombstone_fraction,
-            planner_refresh_budget,
-            kernel,
             posting_order,
         },
     ))
@@ -1156,9 +1152,6 @@ fn enc_manifest(p: &ShardedPersistParts) -> Vec<u8> {
     put_f64(&mut out, cb);
     put_bool(&mut out, cfg.compact_tombstone_fraction.is_some());
     put_f64(&mut out, cfg.compact_tombstone_fraction.unwrap_or(0.0));
-    put_bool(&mut out, cfg.planner_refresh_budget.is_some());
-    put_u64(&mut out, cfg.planner_refresh_budget.unwrap_or(0));
-    put_u32w(&mut out, cfg.kernel);
     put_u32w(&mut out, cfg.posting_order);
     put_f64(&mut out, cfg.rebalance_skew_factor);
     put_u64(&mut out, cfg.rebalance_min_gap);
@@ -1193,9 +1186,6 @@ fn dec_manifest(payload: &[u8]) -> Result<ShardedPersistParts, PersistError> {
     let cb = c.f64()?;
     let has_compact = c.boolean()?;
     let compact = c.f64()?;
-    let has_refresh = c.boolean()?;
-    let refresh = c.u64()?;
-    let kernel = c.u32w()?;
     let posting_order = c.u32w()?;
     let rebalance_skew_factor = c.f64()?;
     let rebalance_min_gap = c.u64()?;
@@ -1227,8 +1217,6 @@ fn dec_manifest(payload: &[u8]) -> Result<ShardedPersistParts, PersistError> {
             selected: has_selected.then_some(selected),
             calibrated: has_calibrated.then_some((ca, cb)),
             compact_tombstone_fraction: has_compact.then_some(compact),
-            planner_refresh_budget: has_refresh.then_some(refresh),
-            kernel,
             posting_order,
             rebalance_skew_factor,
             rebalance_min_gap,

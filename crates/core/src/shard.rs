@@ -38,7 +38,7 @@ use crate::engine::{Algorithm, Engine, EngineBuilder};
 use crate::planner::PlanStats;
 use ranksim_invindex::PostingOrder;
 use ranksim_metricspace::KnnHeap;
-use ranksim_rankings::{ItemId, Kernel, QueryScratch, QueryStats, RankingId, RankingStore};
+use ranksim_rankings::{ItemId, QueryScratch, QueryStats, RankingId, RankingStore};
 use std::time::{Duration, Instant};
 
 /// How rankings are routed to shards.
@@ -100,8 +100,6 @@ struct ShardConfig {
     selected: Option<Vec<Algorithm>>,
     calibrated: Option<crate::CalibratedCosts>,
     compact_tombstone_fraction: Option<f64>,
-    planner_refresh_budget: Option<usize>,
-    kernel: Kernel,
     posting_order: PostingOrder,
     rebalance: RebalanceConfig,
 }
@@ -121,11 +119,7 @@ impl ShardConfig {
         if let Some(f) = self.compact_tombstone_fraction {
             b = b.compaction_threshold(f);
         }
-        if let Some(m) = self.planner_refresh_budget {
-            b = b.planner_refresh_budget(m);
-        }
-        b = b.kernel(self.kernel).posting_order(self.posting_order);
-        b.build()
+        b.posting_order(self.posting_order).build()
     }
 }
 
@@ -208,8 +202,6 @@ impl ShardedEngineBuilder {
                 selected: None,
                 calibrated: None,
                 compact_tombstone_fraction: None,
-                planner_refresh_budget: None,
-                kernel: Kernel::default(),
                 posting_order: PostingOrder::default(),
                 rebalance: RebalanceConfig::default(),
             },
@@ -268,20 +260,6 @@ impl ShardedEngineBuilder {
     /// builder's default when unset).
     pub fn compaction_threshold(mut self, tombstone_fraction: f64) -> Self {
         self.config.compact_tombstone_fraction = Some(tombstone_fraction);
-        self
-    }
-
-    /// Per-shard planner statistics refresh budget (see
-    /// [`EngineBuilder::planner_refresh_budget`]).
-    pub fn planner_refresh_budget(mut self, mutations: usize) -> Self {
-        self.config.planner_refresh_budget = Some(mutations);
-        self
-    }
-
-    /// Position-compare kernel for every per-shard engine (see
-    /// [`EngineBuilder::kernel`]).
-    pub fn kernel(mut self, kernel: Kernel) -> Self {
-        self.config.kernel = kernel;
         self
     }
 
@@ -969,9 +947,6 @@ pub(crate) struct ShardConfigParts {
     pub selected: Option<Vec<u32>>,
     pub calibrated: Option<(f64, f64)>,
     pub compact_tombstone_fraction: Option<f64>,
-    pub planner_refresh_budget: Option<u64>,
-    /// [`Kernel::to_tag`] of the per-shard distance kernel.
-    pub kernel: u32,
     /// [`PostingOrder::to_tag`] of the per-shard posting order.
     pub posting_order: u32,
     pub rebalance_skew_factor: f64,
@@ -1026,8 +1001,6 @@ impl ShardedEngine {
                     .calibrated
                     .map(|c| (c.footrule_ns, c.merge_posting_ns)),
                 compact_tombstone_fraction: self.config.compact_tombstone_fraction,
-                planner_refresh_budget: self.config.planner_refresh_budget.map(|b| b as u64),
-                kernel: self.config.kernel.to_tag(),
                 posting_order: self.config.posting_order.to_tag(),
                 rebalance_skew_factor: self.config.rebalance.skew_factor,
                 rebalance_min_gap: self.config.rebalance.min_gap as u64,
@@ -1125,8 +1098,6 @@ impl ShardedEngine {
                 merge_posting_ns: m,
             }),
             compact_tombstone_fraction: config.compact_tombstone_fraction,
-            planner_refresh_budget: config.planner_refresh_budget.map(|b| b as usize),
-            kernel: Kernel::from_tag(config.kernel)?,
             posting_order: PostingOrder::from_tag(config.posting_order)?,
             rebalance: RebalanceConfig {
                 skew_factor: config.rebalance_skew_factor,

@@ -513,24 +513,20 @@ fn steady_state_query_into_performs_zero_allocations() {
     // postings included) is genuinely exercised, and result masses must
     // match the insertion-ordered engines above bit-for-bit.
     use ranksim_invindex::PostingOrder;
-    use ranksim_rankings::Kernel;
 
     let ds2 = nyt_like(1500, 10, 99); // same corpus as `engine`/`sharded`
     let mut xsharded_builder = ShardedEngineBuilder::new(10, 3, ShardStrategy::Hash)
         .coarse_threshold(0.5)
         .coarse_drop_threshold(0.06)
-        .posting_order(PostingOrder::SuffixBound)
-        .kernel(Kernel::Simd);
+        .posting_order(PostingOrder::SuffixBound);
     xsharded_builder.extend_from_store(&ds2.store);
     let xsharded = xsharded_builder.build();
     let xengine = EngineBuilder::new(ds2.store)
         .coarse_threshold(0.5)
         .coarse_drop_threshold(0.06)
         .posting_order(PostingOrder::SuffixBound)
-        .kernel(Kernel::Simd)
         .build();
     assert_eq!(xengine.posting_order(), PostingOrder::SuffixBound);
-    assert_eq!(xengine.kernel(), Kernel::Simd);
 
     let run_suffix_grid = |engine: &ranksim_core::engine::Engine,
                            scratch: &mut _,
@@ -612,8 +608,8 @@ fn steady_state_query_into_performs_zero_allocations() {
         after - before
     );
 
-    // Persist round-trip: the container stores the posting order and
-    // kernel tags, so the loaded engine serves the exact configuration —
+    // Persist round-trip: the container stores the posting order tag,
+    // so the loaded engine serves the exact configuration —
     // suffix-bound rank arrays included — without a rebuild or re-sort.
     let xrssn_path = std::env::temp_dir().join(format!(
         "ranksim-allocfree-suffix-{}.rssn",
@@ -627,11 +623,6 @@ fn steady_state_query_into_performs_zero_allocations() {
         xloaded.posting_order(),
         PostingOrder::SuffixBound,
         "the persist round-trip must preserve the posting order"
-    );
-    assert_eq!(
-        xloaded.kernel(),
-        Kernel::Simd,
-        "the persist round-trip must preserve the kernel selection"
     );
     let mut zscratch = xloaded.scratch();
     let mut zout = Vec::new();

@@ -178,23 +178,13 @@ fn future_format_version_is_refused_by_name() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// Version 2 files carry a top-k tree section and two build flags this
-/// reader no longer knows: a snapshot and a sharded manifest stamped
-/// with it are refused by version, in both load modes, before any
+/// Version 2 files carry a top-k tree section and two build flags, and
+/// version 3 files carry a kernel tag and a planner refresh budget, that
+/// this reader no longer knows: a snapshot and a sharded manifest stamped
+/// with either are refused by version, in both load modes, before any
 /// section is decoded.
 #[test]
 fn previous_format_version_is_refused_for_snapshot_and_manifest() {
-    let (_, path) = probe_snapshot("previous-version");
-    stamp_version(&path, 2);
-    for mode in [LoadMode::Verify, LoadMode::Trust] {
-        match load_engine(&path, mode) {
-            Err(PersistError::UnsupportedVersion(2)) => {}
-            Err(other) => panic!("expected UnsupportedVersion(2), got {other:?}"),
-            Ok(_) => panic!("a version-2 snapshot must not load"),
-        }
-    }
-    std::fs::remove_file(&path).unwrap();
-
     let dir = std::env::temp_dir().join(format!(
         "ranksim-persistcodec-previous-manifest-{}",
         std::process::id()
@@ -202,15 +192,28 @@ fn previous_format_version_is_refused_for_snapshot_and_manifest() {
     let mut builder = ShardedEngineBuilder::new(6, 2, ShardStrategy::Hash);
     builder.extend_from_store(&nyt_like(24, 6, 3).store);
     save_sharded(&dir, &builder.build()).expect("save sharded probe");
-    stamp_version(&manifest_file(&dir), 2);
-    assert!(matches!(
-        load_sharded(&dir, LoadMode::Verify),
-        Err(PersistError::UnsupportedVersion(2))
-    ));
-    assert!(matches!(
-        load_sharded_manifest(&dir),
-        Err(PersistError::UnsupportedVersion(2))
-    ));
+    for old in [2u32, 3] {
+        let (_, path) = probe_snapshot("previous-version");
+        stamp_version(&path, old);
+        for mode in [LoadMode::Verify, LoadMode::Trust] {
+            match load_engine(&path, mode) {
+                Err(PersistError::UnsupportedVersion(v)) if v == old => {}
+                Err(other) => panic!("expected UnsupportedVersion({old}), got {other:?}"),
+                Ok(_) => panic!("a version-{old} snapshot must not load"),
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+
+        stamp_version(&manifest_file(&dir), old);
+        assert!(matches!(
+            load_sharded(&dir, LoadMode::Verify),
+            Err(PersistError::UnsupportedVersion(v)) if v == old
+        ));
+        assert!(matches!(
+            load_sharded_manifest(&dir),
+            Err(PersistError::UnsupportedVersion(v)) if v == old
+        ));
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -23,9 +23,7 @@
 use crate::blocked::BlockedInvertedIndex;
 use crate::bounds::CandidateBounds;
 use crate::drop::keep_positions_into;
-use ranksim_rankings::{
-    one_side_total, ItemId, Kernel, QueryScratch, QueryStats, RankingId, RankingStore,
-};
+use ranksim_rankings::{one_side_total, ItemId, QueryScratch, QueryStats, RankingId, RankingStore};
 
 /// Blocked+Prune: all lists, block skipping, bound-based decisions.
 pub fn blocked_prune(
@@ -42,7 +40,6 @@ pub fn blocked_prune(
         store,
         query,
         theta_raw,
-        Kernel::default(),
         &mut scratch,
         stats,
         &mut out,
@@ -65,7 +62,6 @@ pub fn blocked_prune_drop(
         store,
         query,
         theta_raw,
-        Kernel::default(),
         &mut scratch,
         stats,
         &mut out,
@@ -74,37 +70,29 @@ pub fn blocked_prune_drop(
 }
 
 /// Scratch-reusing Blocked+Prune; appends results to `out`.
-#[allow(clippy::too_many_arguments)]
 pub fn blocked_prune_into(
     index: &BlockedInvertedIndex,
     store: &RankingStore,
     query: &[ItemId],
     theta_raw: u32,
-    kernel: Kernel,
     scratch: &mut QueryScratch,
     stats: &mut QueryStats,
     out: &mut Vec<RankingId>,
 ) {
-    blocked_core(
-        index, store, query, theta_raw, false, kernel, scratch, stats, out,
-    )
+    blocked_core(index, store, query, theta_raw, false, scratch, stats, out)
 }
 
 /// Scratch-reusing Blocked+Prune+Drop; appends results to `out`.
-#[allow(clippy::too_many_arguments)]
 pub fn blocked_prune_drop_into(
     index: &BlockedInvertedIndex,
     store: &RankingStore,
     query: &[ItemId],
     theta_raw: u32,
-    kernel: Kernel,
     scratch: &mut QueryScratch,
     stats: &mut QueryStats,
     out: &mut Vec<RankingId>,
 ) {
-    blocked_core(
-        index, store, query, theta_raw, true, kernel, scratch, stats, out,
-    )
+    blocked_core(index, store, query, theta_raw, true, scratch, stats, out)
 }
 
 #[inline]
@@ -123,7 +111,6 @@ fn blocked_core(
     query: &[ItemId],
     theta_raw: u32,
     drop_lists: bool,
-    kernel: Kernel,
     scratch: &mut QueryScratch,
     stats: &mut QueryStats,
     out: &mut Vec<RankingId>,
@@ -228,7 +215,7 @@ fn blocked_core(
             out.push(RankingId(id));
         } else if fallback && b.lower(processed_q) <= theta_raw {
             stats.count_distance();
-            match qmap.distance_within(remap, store.items(RankingId(id)), theta_raw, kernel) {
+            match qmap.distance_within(remap, store.items(RankingId(id)), theta_raw) {
                 Some(d) if d <= theta_raw => out.push(RankingId(id)),
                 Some(_) => {}
                 None => stats.validations_pruned += 1,
@@ -288,27 +275,9 @@ mod tests {
             let mut s2 = QueryStats::new();
             let mut got = Vec::new();
             if drop {
-                blocked_prune_drop_into(
-                    &index,
-                    &store,
-                    &q,
-                    raw,
-                    Kernel::default(),
-                    &mut shared,
-                    &mut s1,
-                    &mut got,
-                );
+                blocked_prune_drop_into(&index, &store, &q, raw, &mut shared, &mut s1, &mut got);
             } else {
-                blocked_prune_into(
-                    &index,
-                    &store,
-                    &q,
-                    raw,
-                    Kernel::default(),
-                    &mut shared,
-                    &mut s1,
-                    &mut got,
-                );
+                blocked_prune_into(&index, &store, &q, raw, &mut shared, &mut s1, &mut got);
             }
             let mut expect = if drop {
                 blocked_prune_drop(&index, &store, &q, raw, &mut s2)

@@ -15,24 +15,18 @@ use crate::blocked::BlockedInvertedIndex;
 use crate::plain::PlainInvertedIndex;
 use crate::{blocked_prune, fv, listmerge};
 use ranksim_rankings::{
-    ExecStats, ItemId, Kernel, QueryExecutor, QueryScratch, QueryStats, RankingId, RankingStore,
+    ExecStats, ItemId, QueryExecutor, QueryScratch, QueryStats, RankingId, RankingStore,
 };
 
 /// F&V over the plain inverted index (paper Section 4).
 pub struct FvExecutor {
     index: Arc<PlainInvertedIndex>,
-    kernel: Kernel,
 }
 
 impl FvExecutor {
-    /// Wraps a shared plain index with the default distance kernel.
+    /// Wraps a shared plain index.
     pub fn new(index: Arc<PlainInvertedIndex>) -> Self {
-        Self::with_kernel(index, Kernel::default())
-    }
-
-    /// Wraps a shared plain index with an explicit distance kernel.
-    pub fn with_kernel(index: Arc<PlainInvertedIndex>, kernel: Kernel) -> Self {
-        FvExecutor { index, kernel }
+        FvExecutor { index }
     }
 }
 
@@ -51,16 +45,7 @@ impl QueryExecutor for FvExecutor {
         out: &mut Vec<RankingId>,
     ) -> ExecStats {
         let before = *stats;
-        fv::filter_validate_into(
-            &self.index,
-            store,
-            query,
-            theta_raw,
-            self.kernel,
-            scratch,
-            stats,
-            out,
-        );
+        fv::filter_validate_into(&self.index, store, query, theta_raw, scratch, stats, out);
         ExecStats::since(&before, stats)
     }
 }
@@ -68,18 +53,12 @@ impl QueryExecutor for FvExecutor {
 /// F&V with Lemma 2 list dropping (paper Section 6.1).
 pub struct FvDropExecutor {
     index: Arc<PlainInvertedIndex>,
-    kernel: Kernel,
 }
 
 impl FvDropExecutor {
-    /// Wraps a shared plain index with the default distance kernel.
+    /// Wraps a shared plain index.
     pub fn new(index: Arc<PlainInvertedIndex>) -> Self {
-        Self::with_kernel(index, Kernel::default())
-    }
-
-    /// Wraps a shared plain index with an explicit distance kernel.
-    pub fn with_kernel(index: Arc<PlainInvertedIndex>, kernel: Kernel) -> Self {
-        FvDropExecutor { index, kernel }
+        FvDropExecutor { index }
     }
 }
 
@@ -98,16 +77,7 @@ impl QueryExecutor for FvDropExecutor {
         out: &mut Vec<RankingId>,
     ) -> ExecStats {
         let before = *stats;
-        fv::filter_validate_drop_into(
-            &self.index,
-            store,
-            query,
-            theta_raw,
-            self.kernel,
-            scratch,
-            stats,
-            out,
-        );
+        fv::filter_validate_drop_into(&self.index, store, query, theta_raw, scratch, stats, out);
         ExecStats::since(&before, stats)
     }
 }
@@ -150,24 +120,13 @@ pub struct BlockedPruneExecutor {
     index: Arc<BlockedInvertedIndex>,
     /// Additionally drop lists per Lemma 2 (`Blocked+Prune+Drop`).
     drop_lists: bool,
-    kernel: Kernel,
 }
 
 impl BlockedPruneExecutor {
     /// Wraps a shared blocked index; `drop_lists` selects the `+Drop`
     /// variant.
     pub fn new(index: Arc<BlockedInvertedIndex>, drop_lists: bool) -> Self {
-        Self::with_kernel(index, drop_lists, Kernel::default())
-    }
-
-    /// Like [`BlockedPruneExecutor::new`] with an explicit distance
-    /// kernel for the `+Drop` variant's fallback validations.
-    pub fn with_kernel(index: Arc<BlockedInvertedIndex>, drop_lists: bool, kernel: Kernel) -> Self {
-        BlockedPruneExecutor {
-            index,
-            drop_lists,
-            kernel,
-        }
+        BlockedPruneExecutor { index, drop_lists }
     }
 }
 
@@ -196,7 +155,6 @@ impl QueryExecutor for BlockedPruneExecutor {
                 store,
                 query,
                 theta_raw,
-                self.kernel,
                 scratch,
                 stats,
                 out,
@@ -207,7 +165,6 @@ impl QueryExecutor for BlockedPruneExecutor {
                 store,
                 query,
                 theta_raw,
-                self.kernel,
                 scratch,
                 stats,
                 out,

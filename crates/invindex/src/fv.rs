@@ -20,7 +20,7 @@
 use crate::drop::keep_positions_into;
 use crate::order::{rank_window, PostingOrder};
 use crate::plain::PlainInvertedIndex;
-use ranksim_rankings::{ItemId, Kernel, QueryScratch, QueryStats, RankingId, RankingStore};
+use ranksim_rankings::{ItemId, QueryScratch, QueryStats, RankingId, RankingStore};
 
 /// F&V: returns all indexed rankings within `theta_raw` of the query.
 pub fn filter_validate(
@@ -37,7 +37,6 @@ pub fn filter_validate(
         store,
         query,
         theta_raw,
-        Kernel::default(),
         &mut scratch,
         stats,
         &mut out,
@@ -61,7 +60,6 @@ pub fn filter_validate_drop(
         store,
         query,
         theta_raw,
-        Kernel::default(),
         &mut scratch,
         stats,
         &mut out,
@@ -70,13 +68,11 @@ pub fn filter_validate_drop(
 }
 
 /// Scratch-reusing F&V; appends results to `out`.
-#[allow(clippy::too_many_arguments)]
 pub fn filter_validate_into(
     index: &PlainInvertedIndex,
     store: &RankingStore,
     query: &[ItemId],
     theta_raw: u32,
-    kernel: Kernel,
     scratch: &mut QueryScratch,
     stats: &mut QueryStats,
     out: &mut Vec<RankingId>,
@@ -87,7 +83,7 @@ pub fn filter_validate_into(
     let mut hits = std::mem::take(&mut scratch.hits);
     hits.clear();
     filter_validate_positions_into(
-        index, store, query, &positions, theta_raw, kernel, scratch, stats, &mut hits,
+        index, store, query, &positions, theta_raw, scratch, stats, &mut hits,
     );
     out.extend(hits.iter().map(|&(id, _)| id));
     scratch.hits = hits;
@@ -95,13 +91,11 @@ pub fn filter_validate_into(
 }
 
 /// Scratch-reusing F&V+Drop; appends results to `out`.
-#[allow(clippy::too_many_arguments)]
 pub fn filter_validate_drop_into(
     index: &PlainInvertedIndex,
     store: &RankingStore,
     query: &[ItemId],
     theta_raw: u32,
-    kernel: Kernel,
     scratch: &mut QueryScratch,
     stats: &mut QueryStats,
     out: &mut Vec<RankingId>,
@@ -118,7 +112,7 @@ pub fn filter_validate_drop_into(
     let mut hits = std::mem::take(&mut scratch.hits);
     hits.clear();
     filter_validate_positions_into(
-        index, store, query, &positions, theta_raw, kernel, scratch, stats, &mut hits,
+        index, store, query, &positions, theta_raw, scratch, stats, &mut hits,
     );
     out.extend(hits.iter().map(|&(id, _)| id));
     scratch.hits = hits;
@@ -144,7 +138,6 @@ pub fn filter_validate_positions(
         query,
         positions,
         theta_raw,
-        Kernel::default(),
         &mut scratch,
         stats,
         &mut out,
@@ -164,10 +157,10 @@ pub fn filter_validate_positions(
 /// `|rank − q_rank|`), so never marking it cannot lose a result — any
 /// within-θ candidate is marked through some in-window item. Skipped
 /// entries land in `postings_skipped` rather than `entries_scanned`.
-/// Validation dispatches on `kernel` through
+/// Validation runs through
 /// [`ranksim_rankings::scratch::FlatPositionMap::distance_within`]; a
 /// pruned walk (`None`) is a proven miss counted in `validations_pruned`.
-/// Result sets are bit-identical across orderings and kernels.
+/// Result sets are bit-identical across orderings.
 #[allow(clippy::too_many_arguments)]
 pub fn filter_validate_positions_into(
     index: &PlainInvertedIndex,
@@ -175,7 +168,6 @@ pub fn filter_validate_positions_into(
     query: &[ItemId],
     positions: &[usize],
     theta_raw: u32,
-    kernel: Kernel,
     scratch: &mut QueryScratch,
     stats: &mut QueryStats,
     out: &mut Vec<(RankingId, u32)>,
@@ -217,7 +209,7 @@ pub fn filter_validate_positions_into(
     let out_start = out.len();
     for &id in marks.keys() {
         stats.count_distance();
-        match qmap.distance_within(remap, store.items(RankingId(id)), theta_raw, kernel) {
+        match qmap.distance_within(remap, store.items(RankingId(id)), theta_raw) {
             Some(d) if d <= theta_raw => out.push((RankingId(id), d)),
             Some(_) => {}
             None => stats.validations_pruned += 1,
@@ -236,7 +228,6 @@ pub fn filter_validate_relaxed_into(
     query: &[ItemId],
     relaxed_theta_raw: u32,
     drop_lists: bool,
-    kernel: Kernel,
     scratch: &mut QueryScratch,
     stats: &mut QueryStats,
     out: &mut Vec<(RankingId, u32)>,
@@ -262,7 +253,6 @@ pub fn filter_validate_relaxed_into(
         query,
         &positions,
         relaxed_theta_raw,
-        kernel,
         scratch,
         stats,
         out,
@@ -287,7 +277,6 @@ pub fn filter_validate_relaxed(
         query,
         relaxed_theta_raw,
         drop_lists,
-        Kernel::default(),
         &mut scratch,
         stats,
         &mut out,
@@ -347,7 +336,6 @@ mod tests {
                 &store,
                 &q,
                 raw,
-                Kernel::default(),
                 &mut shared,
                 &mut s1,
                 &mut via_shared,
@@ -430,21 +418,18 @@ mod tests {
             for theta in [0.0, 0.1, 0.2, 0.4] {
                 let raw = raw_threshold(theta, 7);
                 for index in &indices {
-                    for kernel in [Kernel::Scalar, Kernel::Simd] {
-                        let mut stats = QueryStats::new();
-                        let mut out = Vec::new();
-                        filter_validate_into(
-                            index,
-                            &store,
-                            &q,
-                            raw,
-                            kernel,
-                            &mut scratch,
-                            &mut stats,
-                            &mut out,
-                        );
-                        assert_equals_scan(&store, &q, raw, out);
-                    }
+                    let mut stats = QueryStats::new();
+                    let mut out = Vec::new();
+                    filter_validate_into(
+                        index,
+                        &store,
+                        &q,
+                        raw,
+                        &mut scratch,
+                        &mut stats,
+                        &mut out,
+                    );
+                    assert_equals_scan(&store, &q, raw, out);
                 }
             }
         }
@@ -471,16 +456,7 @@ mod tests {
         let a = filter_validate(&plain, &store, &q, raw, &mut s_id);
         let mut scratch = QueryScratch::new();
         let mut b = Vec::new();
-        filter_validate_into(
-            &sb,
-            &store,
-            &q,
-            raw,
-            Kernel::Simd,
-            &mut scratch,
-            &mut s_sb,
-            &mut b,
-        );
+        filter_validate_into(&sb, &store, &q, raw, &mut scratch, &mut s_sb, &mut b);
         let mut a = a;
         a.sort_unstable();
         b.sort_unstable();

@@ -7,7 +7,6 @@
 //! `K ≤ F ≤ 2·K` (for permutations over a common domain) provides a cheap
 //! cross-check exploited by the test-suite.
 
-use crate::kernel::Kernel;
 use crate::ranking::ItemId;
 
 /// Kendall's tau with penalty parameter `p = 0` ("optimistic") for two
@@ -73,66 +72,6 @@ pub fn kendall_top_k(a: &[ItemId], b: &[ItemId]) -> u32 {
                 // Items outside both lists cannot appear in the union.
                 _ => unreachable!("union item missing from both rankings"),
             }
-        }
-    }
-    dist
-}
-
-/// [`kendall_top_k`] with an explicit [`Kernel`] selection.
-///
-/// [`Kernel::Scalar`] runs the case-by-case reference above;
-/// [`Kernel::Simd`] runs [`kendall_top_k_flat`]. Both return identical
-/// distances for every input.
-pub fn kendall_top_k_with(a: &[ItemId], b: &[ItemId], kernel: Kernel) -> u32 {
-    match kernel {
-        Kernel::Scalar => kendall_top_k(a, b),
-        Kernel::Simd => kendall_top_k_flat(a, b),
-    }
-}
-
-/// Branchless formulation of [`kendall_top_k`] over flat position arrays.
-///
-/// Union items get their positions in `a` and `b` materialized into two
-/// dense `u32` arrays with the artificial rank `k` standing in for
-/// missing items (the same sentinel convention the Footrule kernel
-/// uses). A pair `{x, y}` is then discordant exactly when
-///
-/// ```text
-/// (pa[x] < pa[y]) != (pb[x] < pb[y])  &&  pa[x] != pa[y]  &&  pb[x] != pb[y]
-/// ```
-///
-/// — the order-disagreement test with ties (both missing from the same
-/// list, i.e. both at the sentinel) excluded, which reproduces the
-/// optimistic `p = 0` case analysis: genuine inversions and Case-2/4
-/// sentinel comparisons count 1, Case-3 pairs (tied at the sentinel on
-/// one side) count 0. The inner pair loop is pure arithmetic over two
-/// flat arrays, so it auto-vectorizes where the `match` cannot.
-pub fn kendall_top_k_flat(a: &[ItemId], b: &[ItemId]) -> u32 {
-    assert_eq!(a.len(), b.len(), "rankings must have equal size");
-    let k = a.len() as u32;
-    let mut union: Vec<ItemId> = a.to_vec();
-    for &i in b {
-        if !a.contains(&i) {
-            union.push(i);
-        }
-    }
-    let mut pa = vec![k; union.len()];
-    let mut pb = vec![k; union.len()];
-    for (x, &item) in union.iter().enumerate() {
-        if let Some(p) = a.iter().position(|&i| i == item) {
-            pa[x] = p as u32;
-        }
-        if let Some(p) = b.iter().position(|&i| i == item) {
-            pb[x] = p as u32;
-        }
-    }
-    let mut dist = 0u32;
-    for x in 0..union.len() {
-        let (pax, pbx) = (pa[x], pb[x]);
-        for y in (x + 1)..union.len() {
-            let (pay, pby) = (pa[y], pb[y]);
-            let discordant = ((pax < pay) != (pbx < pby)) & (pax != pay) & (pbx != pby);
-            dist += discordant as u32;
         }
     }
     dist
@@ -215,30 +154,6 @@ mod tests {
         let b = ids(&[3, 5, 1]);
         assert_eq!(kendall_top_k(&a, &b), 4);
         assert_eq!(kendall_top_k(&b, &a), 4);
-    }
-
-    #[test]
-    fn flat_kernel_matches_reference_on_every_case_shape() {
-        let pairs = [
-            (ids(&[1, 2, 3, 4]), ids(&[1, 2, 3, 4])),
-            (ids(&[1, 2, 3]), ids(&[2, 1, 3])),
-            (ids(&[1, 2, 3]), ids(&[4, 5, 6])),
-            (ids(&[1, 2, 3, 4]), ids(&[1, 2, 5, 6])),
-            (ids(&[1, 2, 3]), ids(&[1, 4, 2])),
-            (ids(&[1, 2, 3]), ids(&[3, 5, 1])),
-            (ids(&[1, 2, 9, 8, 3]), ids(&[9, 8, 1, 2, 4])),
-            (ids(&[1, 2, 3, 4, 5]), ids(&[5, 4, 3, 2, 1])),
-            (ids(&[]), ids(&[])),
-            (ids(&[7]), ids(&[7])),
-            (ids(&[7]), ids(&[8])),
-        ];
-        for (a, b) in &pairs {
-            let reference = kendall_top_k(a, b);
-            assert_eq!(kendall_top_k_flat(a, b), reference, "a={a:?} b={b:?}");
-            assert_eq!(kendall_top_k_with(a, b, Kernel::Scalar), reference);
-            assert_eq!(kendall_top_k_with(a, b, Kernel::Simd), reference);
-            assert_eq!(kendall_top_k_flat(b, a), reference, "symmetry");
-        }
     }
 
     #[test]

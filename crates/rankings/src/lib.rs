@@ -40,8 +40,8 @@ pub use footrule::{
     footrule_items, footrule_pairs, footrule_store, max_distance, min_distance_for_overlap,
     one_side_total, raw_threshold, PositionMap,
 };
-pub use kendall::{kendall_top_k, kendall_top_k_flat, kendall_top_k_with};
-pub use kernel::{Kernel, ParseKernelError, KERNEL_CHUNK};
+pub use kendall::kendall_top_k;
+pub use kernel::KERNEL_CHUNK;
 #[doc(hidden)]
 pub use ranking::{
     item_vec_from_u32, item_vec_into_u32, ranking_vec_from_u32, ranking_vec_into_u32, StoreParts,

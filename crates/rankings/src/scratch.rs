@@ -24,7 +24,7 @@
 //!   seen this epoch.
 
 use crate::footrule::one_side_total;
-use crate::kernel::{Kernel, KERNEL_CHUNK};
+use crate::kernel::KERNEL_CHUNK;
 use crate::ranking::{ItemId, RankingId};
 use crate::remap::ItemRemap;
 
@@ -255,65 +255,26 @@ impl FlatPositionMap {
         dist
     }
 
-    /// [`FlatPositionMap::distance_to`] via the chunked, branchless
-    /// [`Kernel::Simd`] formulation: candidate ranks are gathered into a
-    /// small stack buffer with the artificial rank `l = k` standing in
-    /// for items missing from the query, which collapses the matched and
-    /// unmatched cases into one branch-free arithmetic expression
-    /// (`|p − q_p| − (k − q_p)`; with `q_p = k` this is exactly the
-    /// unmatched contribution `k − p`). Bit-identical to the scalar loop
-    /// for every input.
-    pub fn distance_to_chunked(&self, remap: &ItemRemap, candidate: &[ItemId]) -> u32 {
-        debug_assert_eq!(candidate.len() as u32, self.k);
-        let k = self.k as i32;
-        let t_k = one_side_total(self.k as usize) as i32;
-        let mut sum = 0i32;
-        let mut qps = [0i32; KERNEL_CHUNK];
-        let len = candidate.len();
-        let mut p = 0usize;
-        while p < len {
-            let n = KERNEL_CHUNK.min(len - p);
-            for (j, &item) in candidate[p..p + n].iter().enumerate() {
-                qps[j] = self.rank_of(remap, item).map_or(k, |q| q as i32);
-            }
-            for (j, &qp) in qps[..n].iter().enumerate() {
-                let pp = (p + j) as i32;
-                sum += (pp - qp).abs() - (k - qp);
-            }
-            p += n;
-        }
-        (t_k + sum) as u32
-    }
-
     /// Threshold-aware distance: `Some(d)` when the walk ran to
     /// completion (`d` is the exact distance, whether or not it is within
     /// `theta_raw`), `None` **strictly** when the suffix-bound early exit
     /// proved the candidate outside `theta_raw` before finishing. Callers
     /// therefore treat `None` as a guaranteed miss and may count it as a
-    /// pruned validation; result sets are bit-identical across kernels by
-    /// construction.
+    /// pruned validation; the membership verdict always equals
+    /// `distance_to(..) <= theta_raw`.
     ///
-    /// The bound: each remaining position `p` contributes at least
-    /// `p − k` (minimizing `|p − q_p| + q_p` over `q_p ∈ 0..=k` attains
-    /// `p`), so after `j` processed items the final distance is at least
-    /// `partial_j − T(k − j)` with `T(m) = m(m+1)/2`.
+    /// The walk is chunked and branchless: candidate ranks are gathered
+    /// into a small stack buffer with the artificial rank `l = k` standing
+    /// in for items missing from the query, which collapses the matched
+    /// and unmatched cases into one arithmetic expression
+    /// (`|p − q_p| − (k − q_p)`; with `q_p = k` this is exactly the
+    /// unmatched contribution `k − p`).
+    ///
+    /// The bound, checked at each chunk boundary: each remaining position
+    /// `p` contributes at least `p − k` (minimizing `|p − q_p| + q_p` over
+    /// `q_p ∈ 0..=k` attains `p`), so after `j` processed items the final
+    /// distance is at least `partial_j − T(k − j)` with `T(m) = m(m+1)/2`.
     pub fn distance_within(
-        &self,
-        remap: &ItemRemap,
-        candidate: &[ItemId],
-        theta_raw: u32,
-        kernel: Kernel,
-    ) -> Option<u32> {
-        match kernel {
-            Kernel::Scalar => Some(self.distance_to(remap, candidate)),
-            Kernel::Simd => self.distance_within_chunked(remap, candidate, theta_raw),
-        }
-    }
-
-    /// The [`Kernel::Simd`] arm of [`FlatPositionMap::distance_within`]:
-    /// the chunked branchless walk with the suffix-bound check at each
-    /// chunk boundary.
-    pub fn distance_within_chunked(
         &self,
         remap: &ItemRemap,
         candidate: &[ItemId],
@@ -547,12 +508,8 @@ mod tests {
         flat.build(&remap, &q);
         for c in &candidates {
             let exact = flat.distance_to(&remap, c);
-            assert_eq!(flat.distance_to_chunked(&remap, c), exact);
             // A full-range θ never prunes, so the pruned walk is exact.
-            assert_eq!(
-                flat.distance_within_chunked(&remap, c, u32::MAX),
-                Some(exact)
-            );
+            assert_eq!(flat.distance_within(&remap, c, u32::MAX), Some(exact));
         }
     }
 
@@ -574,28 +531,19 @@ mod tests {
         for c in &candidates {
             let exact = flat.distance_to(&remap, c);
             for theta in 0..=crate::footrule::max_distance(q.len()) {
-                match flat.distance_within(&remap, c, theta, Kernel::Simd) {
+                let within = flat.distance_within(&remap, c, theta);
+                match within {
                     Some(d) => assert_eq!(d, exact),
                     None => assert!(exact > theta, "pruned a candidate within θ"),
                 }
-                assert_eq!(
-                    flat.distance_within(&remap, c, theta, Kernel::Scalar),
-                    Some(exact)
-                );
-                // The membership verdict is kernel-independent.
-                let simd_hit = flat
-                    .distance_within(&remap, c, theta, Kernel::Simd)
-                    .is_some_and(|d| d <= theta);
-                assert_eq!(simd_hit, exact <= theta);
+                // The membership verdict matches the reference loop.
+                assert_eq!(within.is_some_and(|d| d <= theta), exact <= theta);
             }
         }
         // The disjoint candidate must actually trigger the early exit at
         // the paper's benchmark threshold.
         let theta = crate::footrule::raw_threshold(0.2, q.len());
-        assert_eq!(
-            flat.distance_within(&remap, &candidates[2], theta, Kernel::Simd),
-            None
-        );
+        assert_eq!(flat.distance_within(&remap, &candidates[2], theta), None);
     }
 
     #[test]

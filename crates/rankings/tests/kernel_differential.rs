@@ -1,6 +1,7 @@
-//! Differential harness for the position-compare kernels: the chunked,
-//! auto-vectorization-friendly [`Kernel::Simd`] walk against the
-//! [`Kernel::Scalar`] reference loop, on adversarial inputs —
+//! Differential harness for the position-compare kernel: the chunked,
+//! auto-vectorization-friendly `FlatPositionMap::distance_within` walk
+//! against the `FlatPositionMap::distance_to` reference loop, on
+//! adversarial inputs —
 //!
 //! * every length alignment around the [`KERNEL_CHUNK`] boundary
 //!   (`k ∈ 1..=3·CHUNK+1`, covering exact multiples, ±1 and partial
@@ -10,15 +11,14 @@
 //! * thresholds from 0 through the exact distance ±1 up to past the
 //!   `k(k+1)` distance ceiling.
 //!
-//! The contract under test: the scalar kernel always returns the exact
-//! distance; the SIMD kernel returns the identical exact distance
-//! whenever the candidate is within θ (bit-identical result sets), and
-//! `None` only when the suffix bound *proved* the candidate outside θ.
+//! The contract under test: the kernel returns the reference loop's
+//! exact distance whenever the candidate is within θ (bit-identical
+//! result sets), and `None` only when the suffix bound *proved* the
+//! candidate outside θ.
 
 use proptest::prelude::*;
 use ranksim_rankings::{
-    kendall_top_k_with, one_side_total, FlatPositionMap, ItemId, ItemRemap, Kernel, Ranking,
-    RankingStore, KERNEL_CHUNK,
+    one_side_total, FlatPositionMap, ItemId, ItemRemap, Ranking, RankingStore, KERNEL_CHUNK,
 };
 
 /// The largest item domain any case uses (`2k + 2` at the top `k`).
@@ -66,21 +66,17 @@ fn assert_kernel_contract(
     theta: u32,
     exact: u32,
 ) {
-    assert_eq!(
-        map.distance_within(remap, candidate, theta, Kernel::Scalar),
-        Some(exact),
-        "scalar kernel must always return the exact distance"
-    );
-    match map.distance_within(remap, candidate, theta, Kernel::Simd) {
-        Some(d) => assert_eq!(d, exact, "SIMD kernel returned a wrong distance"),
+    let within = map.distance_within(remap, candidate, theta);
+    match within {
+        Some(d) => assert_eq!(d, exact, "kernel returned a wrong distance"),
         None => assert!(
             exact > theta,
-            "SIMD kernel pruned a candidate within θ (exact {exact} ≤ θ {theta})"
+            "kernel pruned a candidate within θ (exact {exact} ≤ θ {theta})"
         ),
     }
     if exact <= theta {
         assert_eq!(
-            map.distance_within(remap, candidate, theta, Kernel::Simd),
+            within,
             Some(exact),
             "a within-θ candidate must never be pruned"
         );
@@ -90,7 +86,7 @@ fn assert_kernel_contract(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Random lengths, alignments and overlaps: both kernels agree with
+    /// Random lengths, alignments and overlaps: the kernel agrees with
     /// the exact distance, `None` only on proven misses.
     #[test]
     fn simd_kernel_matches_scalar_oracle(
@@ -110,27 +106,10 @@ proptest! {
         for id in store.ids() {
             let cand = store.items(id);
             let exact = map.distance_to(&remap, cand);
-            prop_assert_eq!(map.distance_to_chunked(&remap, cand), exact);
             assert_kernel_contract(&map, &remap, cand, theta, exact);
         }
     }
 
-    /// The Kendall kernels must agree everywhere too.
-    #[test]
-    fn kendall_kernels_agree(
-        k in 1usize..=3 * KERNEL_CHUNK + 1,
-        query_perm in perm(),
-        candidate_perms in proptest::collection::vec(perm(), 1..6),
-    ) {
-        let q = items(&take_k(&query_perm, k));
-        for c in &candidate_perms {
-            let c = items(&take_k(c, k));
-            prop_assert_eq!(
-                kendall_top_k_with(&q, &c, Kernel::Scalar),
-                kendall_top_k_with(&q, &c, Kernel::Simd)
-            );
-        }
-    }
 }
 
 /// Deterministic sweep of the extremes at every chunk alignment:

@@ -119,7 +119,7 @@ pub mod prelude {
     };
     pub use ranksim_invindex::PostingOrder;
     pub use ranksim_rankings::{
-        footrule_pairs, raw_threshold, ExecStats, ItemId, ItemRemap, Kernel, PositionMap,
-        QueryExecutor, QueryScratch, QueryStats, Ranking, RankingId, RankingStore,
+        footrule_pairs, raw_threshold, ExecStats, ItemId, ItemRemap, PositionMap, QueryExecutor,
+        QueryScratch, QueryStats, Ranking, RankingId, RankingStore,
     };
 }

@@ -1,9 +1,11 @@
-//! Differential harness for the engine-level kernel/ordering grid: an
-//! engine built with the SIMD kernel and/or suffix-bound-ordered
-//! postings must be **indistinguishable** from the scalar,
-//! insertion-ordered oracle — across every algorithm of the paper's
-//! evaluation, the `Auto` planner, exact top-k, and through the mutable
-//! delta plane (which maintains its own suffix-bound ordering).
+//! Differential harness for the engine-level posting orders: an engine
+//! built with insertion-ordered or suffix-bound-ordered postings — both
+//! validating through the chunked, suffix-bound-aborting distance kernel
+//! — must be **indistinguishable** from the brute-force oracle
+//! (`linear_scan` / `knn_linear` over the live store) across every
+//! algorithm of the paper's evaluation, the `Auto` planner, exact top-k,
+//! and through the mutable delta plane (which maintains its own
+//! suffix-bound ordering).
 //!
 //! Thresholds compare canonical (sorted) result sets; top-k answers
 //! must be bit-identical `(distance, id)` sequences. The deterministic
@@ -13,14 +15,11 @@
 
 use proptest::prelude::*;
 use ranksim::datasets::nyt_like;
+use ranksim::metricspace::{knn_linear, linear_scan, query_pairs};
 use ranksim::prelude::*;
 
-/// The three non-oracle cells of the (order × kernel) grid.
-const ARMS: [(PostingOrder, Kernel); 3] = [
-    (PostingOrder::Id, Kernel::Simd),
-    (PostingOrder::SuffixBound, Kernel::Scalar),
-    (PostingOrder::SuffixBound, Kernel::Simd),
-];
+/// Both posting orders, each checked against the brute-force oracle.
+const ARMS: [PostingOrder; 2] = [PostingOrder::Id, PostingOrder::SuffixBound];
 
 fn corpus(n: usize, k: usize, domain: u32) -> impl Strategy<Value = Vec<Vec<u32>>> {
     proptest::collection::vec(
@@ -40,22 +39,28 @@ fn store_of(rankings: &[Vec<u32>]) -> RankingStore {
     store
 }
 
-fn grid_engine(store: RankingStore, order: PostingOrder, kernel: Kernel) -> Engine {
+fn grid_engine(store: RankingStore, order: PostingOrder) -> Engine {
     EngineBuilder::new(store)
         .coarse_threshold(0.4)
         .coarse_drop_threshold(0.06)
         .posting_order(order)
-        .kernel(kernel)
         .build()
+}
+
+/// Brute-force range answer over the live corpus, sorted.
+fn scan(store: &RankingStore, q: &[ItemId], raw: u32) -> Vec<RankingId> {
+    let mut expect = linear_scan(store, &query_pairs(q), raw, &mut QueryStats::new());
+    expect.sort_unstable();
+    expect
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Every algorithm plus `Auto` plus top-k: each grid arm equals the
-    /// scalar/insertion-ordered oracle on random corpora and mixed θ
-    /// (the low end drives the rank window, the high end the kernel's
-    /// suffix-bound abort).
+    /// Every algorithm plus `Auto` plus top-k: each posting order equals
+    /// the brute-force oracle on random corpora and mixed θ (the low end
+    /// drives the rank window, the high end the kernel's suffix-bound
+    /// abort).
     #[test]
     fn grid_arms_equal_the_scalar_unordered_oracle(
         rankings in corpus(70, 6, 22),
@@ -66,35 +71,32 @@ proptest! {
         let store = store_of(&rankings);
         let raw = raw_threshold(theta, 6);
         let q: Vec<ItemId> = query.into_iter().map(ItemId).collect();
-        let oracle = grid_engine(store.clone(), PostingOrder::Id, Kernel::Scalar);
-        let mut oscratch = oracle.scratch();
-        let mut ostats = QueryStats::new();
-        let topk_expect = oracle.query_topk(&q, neighbours, &mut oscratch, &mut ostats);
-        for (order, kernel) in ARMS {
-            let arm = grid_engine(store.clone(), order, kernel);
+        let expect = scan(&store, &q, raw);
+        let topk_expect = knn_linear(
+            &store,
+            &query_pairs(&q),
+            neighbours.min(store.live_len()),
+            &mut QueryStats::new(),
+        );
+        for order in ARMS {
+            let arm = grid_engine(store.clone(), order);
             prop_assert_eq!(arm.posting_order(), order);
-            prop_assert_eq!(arm.kernel(), kernel);
             let mut scratch = arm.scratch();
             let mut stats = QueryStats::new();
             for alg in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
-                let mut expect = oracle.query_items(alg, &q, raw, &mut oscratch, &mut ostats);
-                expect.sort_unstable();
                 let mut got = arm.query_items(alg, &q, raw, &mut scratch, &mut stats);
                 got.sort_unstable();
-                prop_assert_eq!(
-                    got, expect,
-                    "{} ({:?}, {:?}) θ={}", alg, order, kernel, theta
-                );
+                prop_assert_eq!(&got, &expect, "{} ({:?}) θ={}", alg, order, theta);
             }
             let topk = arm.query_topk(&q, neighbours, &mut scratch, &mut stats);
-            prop_assert_eq!(&topk, &topk_expect, "top-k ({:?}, {:?})", order, kernel);
+            prop_assert_eq!(&topk, &topk_expect, "top-k ({:?})", order);
         }
     }
 
-    /// The grid arms stay equivalent **through mutations**: inserts land
-    /// in the suffix-bound-ordered delta index, removals in the
-    /// tombstone plane — answers must keep matching the oracle engine
-    /// mutated identically.
+    /// The posting orders stay equivalent **through mutations**: inserts
+    /// land in the suffix-bound-ordered delta index, removals in the
+    /// tombstone plane — answers must keep matching the brute-force
+    /// oracle over the mutated live corpus.
     #[test]
     fn grid_arms_stay_equivalent_through_mutations(
         rankings in corpus(50, 5, 16),
@@ -113,23 +115,18 @@ proptest! {
             }
             engine.remove_ranking(RankingId(victim));
         };
-        let mut oracle = grid_engine(store.clone(), PostingOrder::Id, Kernel::Scalar);
-        mutate(&mut oracle);
-        let mut oscratch = oracle.scratch();
-        let mut ostats = QueryStats::new();
-        for (order, kernel) in ARMS {
-            let mut arm = grid_engine(store.clone(), order, kernel);
+        for order in ARMS {
+            let mut arm = grid_engine(store.clone(), order);
             mutate(&mut arm);
+            let expect = scan(arm.store(), &q, raw);
             let mut scratch = arm.scratch();
             let mut stats = QueryStats::new();
             for alg in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
-                let mut expect = oracle.query_items(alg, &q, raw, &mut oscratch, &mut ostats);
-                expect.sort_unstable();
                 let mut got = arm.query_items(alg, &q, raw, &mut scratch, &mut stats);
                 got.sort_unstable();
                 prop_assert_eq!(
-                    got, expect,
-                    "{} ({:?}, {:?}) θ={} after mutations", alg, order, kernel, theta
+                    &got, &expect,
+                    "{} ({:?}) θ={} after mutations", alg, order, theta
                 );
             }
         }
@@ -143,21 +140,23 @@ proptest! {
 #[test]
 fn tight_thresholds_skip_postings_without_changing_results() {
     let ds = nyt_like(2000, 10, 91);
-    let oracle = grid_engine(ds.store.clone(), PostingOrder::Id, Kernel::Scalar);
-    let suffix = grid_engine(ds.store.clone(), PostingOrder::SuffixBound, Kernel::Simd);
+    let by_id = grid_engine(ds.store.clone(), PostingOrder::Id);
+    let suffix = grid_engine(ds.store.clone(), PostingOrder::SuffixBound);
     let raw = raw_threshold(0.05, 10);
-    let mut oscratch = oracle.scratch();
+    let mut iscratch = by_id.scratch();
     let mut sscratch = suffix.scratch();
-    let mut ostats = QueryStats::new();
+    let mut istats = QueryStats::new();
     let mut sstats = QueryStats::new();
     for probe in 0..40u32 {
         let q = ds.store.items(RankingId(probe * 7)).to_vec();
+        let expect = scan(&ds.store, &q, raw);
         for alg in Algorithm::ALL {
-            let mut expect = oracle.query_items(alg, &q, raw, &mut oscratch, &mut ostats);
-            expect.sort_unstable();
+            let mut got = by_id.query_items(alg, &q, raw, &mut iscratch, &mut istats);
+            got.sort_unstable();
+            assert_eq!(got, expect, "{alg} (Id) at tight θ");
             let mut got = suffix.query_items(alg, &q, raw, &mut sscratch, &mut sstats);
             got.sort_unstable();
-            assert_eq!(got, expect, "{alg} at tight θ");
+            assert_eq!(got, expect, "{alg} (SuffixBound) at tight θ");
         }
     }
     assert!(
@@ -165,7 +164,7 @@ fn tight_thresholds_skip_postings_without_changing_results() {
         "tight θ on a suffix-bound engine must window out postings"
     );
     assert_eq!(
-        ostats.postings_skipped, 0,
-        "the insertion-ordered oracle never windows"
+        istats.postings_skipped, 0,
+        "the insertion-ordered engine never windows"
     );
 }
