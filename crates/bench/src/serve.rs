@@ -587,6 +587,33 @@ mod tests {
     }
 
     #[test]
+    fn theta_one_request_returns_every_ranking() {
+        let core = tiny_core(64);
+        let everything: Vec<String> = (0..200).map(|id| id.to_string()).collect();
+        let expect = format!("R {}", everything.join(","));
+        let snap = core.engine().snapshot();
+        let own: Vec<String> = snap
+            .store()
+            .items(RankingId(0))
+            .iter()
+            .map(|i| i.0.to_string())
+            .collect();
+        // Never-seen items share no posting list with any ranking.
+        let unseen: Vec<String> = (0..8).map(|i| (900_000 + i).to_string()).collect();
+        let replies: Vec<String> = std::thread::scope(|scope| {
+            let dispatcher = scope.spawn(|| core.dispatch_loop());
+            let replies =
+                [own, unseen].map(|items| handle_line(&core, &format!("Q 1 {}", items.join(","))));
+            core.shutdown();
+            dispatcher.join().unwrap();
+            replies.into()
+        });
+        for reply in replies {
+            assert_eq!(reply, expect);
+        }
+    }
+
+    #[test]
     fn socket_protocol_round_trips() {
         let core = Arc::new(tiny_core(64));
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");

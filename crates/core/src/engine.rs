@@ -42,7 +42,7 @@ use ranksim_invindex::{
     BlockedPruneExecutor, FvDropExecutor, FvExecutor, ListMergeExecutor, PlainIndexParts,
     PlainInvertedIndex, PostingOrder,
 };
-use ranksim_metricspace::{knn_linear, query_pairs_into, KnnHeap};
+use ranksim_metricspace::{query_pairs_into, KnnHeap};
 use ranksim_rankings::{
     footrule_pairs, max_distance, raw_threshold, validate_items, ExecStats, ItemId, ItemRemap,
     QueryExecutor, QueryScratch, QueryStats, Ranking, RankingError, RankingId, RankingStore,
@@ -217,7 +217,8 @@ impl std::str::FromStr for Algorithm {
 /// the predicted/measured costs feeding the recalibration loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryTrace {
-    /// The concrete algorithm that executed.
+    /// The concrete algorithm that executed — or the caller's, `Auto`
+    /// included, when `θ_raw ≥ max_distance(k)` answered without one.
     pub algorithm: Algorithm,
     /// Whether the planner chose it (`Auto`) or the caller named it.
     pub planned: bool,
@@ -1142,6 +1143,10 @@ impl Engine {
     /// executor ran (the planner's pick under [`Algorithm::Auto`]), its
     /// instrumented [`ExecStats`], and the predicted/measured costs. The
     /// batch drivers accumulate these into per-worker reports.
+    ///
+    /// Every tier's threshold query reaches this entry, so it owns the
+    /// widest radius: at `θ_raw ≥ max_distance(k)` (θ = 1) it returns
+    /// every live id in ascending order without planning or executing.
     pub fn query_into_traced(
         &self,
         algorithm: Algorithm,
@@ -1157,6 +1162,20 @@ impl Engine {
             "query size must match the corpus ranking size"
         );
         out.clear();
+        if theta_raw >= max_distance(self.store.k()) {
+            // Every live ranking qualifies, also those sharing no item
+            // with the query: they sit at exactly `max_distance(k)` and
+            // in none of its posting lists, so no executor is asked.
+            out.extend(self.store.live_ids());
+            stats.results += out.len() as u64;
+            return QueryTrace {
+                algorithm,
+                planned: false,
+                exec: ExecStats::default(),
+                predicted_ns: 0.0,
+                actual_ns: 0.0,
+            };
+        }
         scratch.ensure_generation(self.generation);
         let trace = if algorithm == Algorithm::Auto {
             let planner = self.planner.as_ref().unwrap_or_else(|| {
@@ -1224,20 +1243,12 @@ impl Engine {
     /// The `neighbours` corpus rankings nearest to `query`, as ascending
     /// `(distance, id)` pairs. Exact and fully deterministic: the result
     /// is the lexicographically smallest set of `(distance, id)` pairs,
-    /// so ties at the last distance resolve to the smallest ids — the
-    /// invariant [`crate::shard::ShardedEngine`] relies on to merge
-    /// per-shard answers bit-identically. `neighbours` is bounded by the
-    /// live corpus size.
+    /// so ties at the last distance resolve to the smallest ids.
+    /// `neighbours` is bounded by the live corpus size.
     ///
-    /// k-NN by range queries of growing radius (Chen et al.): exact
-    /// threshold rounds at `θ_raw = k, 2k, 4k, …` run through the same
-    /// executors (tombstones and delta overlay included) until one
-    /// returns at least `neighbours` rankings. Everything a round did not
-    /// return is farther than everything it did, so the nearest
-    /// `neighbours` of the returned set are the answer. A ranking sharing
-    /// no item with the query sits at exactly `max_distance(k)`, which no
-    /// inverted list reaches: when even `max_distance(k) − 1` yields too
-    /// few, the remainder is filled by the exact linear scan.
+    /// k-NN by range queries of growing radius: the workspace's one
+    /// radius loop (`knn_by_radius`) over this engine's exact threshold
+    /// rounds, tombstones and delta overlay included.
     pub fn query_topk(
         &self,
         query: &[ItemId],
@@ -1254,47 +1265,65 @@ impl Engine {
         if neighbours == 0 {
             return Vec::new();
         }
-        let k = self.store.k();
         let results_before = stats.results;
-        let mut within = Vec::new();
-        // `ALL` runs from the baselines to the paper's best techniques:
-        // without a planner, take the last one that was built.
-        let executor = if self.planner.is_some() {
-            Some(Algorithm::Auto)
+        let mut ids = Vec::new();
+        let Ok(nearest) = knn_by_radius(self.store.k(), neighbours, |theta_raw, pairs| {
+            self.query_distances_into(
+                Algorithm::Auto,
+                query,
+                theta_raw,
+                scratch,
+                stats,
+                &mut ids,
+                pairs,
+            );
+            Ok::<(), std::convert::Infallible>(())
+        });
+        // The rounds' own result counts are not this query's results.
+        stats.results = results_before + nearest.len() as u64;
+        nearest
+    }
+
+    /// [`Engine::query_into`] (into `ids`) that also appends each
+    /// result's exact `(distance, id)` to `out`: one top-k round, and a
+    /// shard worker's threshold reply. `Auto` on an engine built without
+    /// a planner runs the last built of [`Algorithm::ALL`] instead (they
+    /// run from the baselines to the paper's best techniques); with no
+    /// index built at all, only the widest round answers, and it needs
+    /// none.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn query_distances_into(
+        &self,
+        algorithm: Algorithm,
+        query: &[ItemId],
+        theta_raw: u32,
+        scratch: &mut QueryScratch,
+        stats: &mut QueryStats,
+        ids: &mut Vec<RankingId>,
+        out: &mut Vec<(u32, RankingId)>,
+    ) {
+        let k = self.store.k();
+        let executor = if algorithm != Algorithm::Auto || self.planner.is_some() {
+            Some(algorithm)
         } else {
             Algorithm::ALL.into_iter().rev().find(|a| {
                 let slot = a.dense_index().expect("concrete algorithm");
                 self.executors[slot].is_some()
             })
         };
-        if let Some(algorithm) = executor {
-            let widest = max_distance(k) - 1;
-            let mut theta_raw = k as u32;
-            loop {
-                self.query_into(algorithm, query, theta_raw, scratch, stats, &mut within);
-                if within.len() >= neighbours || theta_raw == widest {
-                    break;
-                }
-                theta_raw = (theta_raw * 2).min(widest);
-            }
-        }
-        query_pairs_into(query, &mut scratch.qp);
-        let nearest = if within.len() >= neighbours {
-            let mut heap = KnnHeap::new(neighbours);
-            for &id in &within {
-                stats.count_distance();
-                heap.offer(
-                    footrule_pairs(&scratch.qp, self.store.sorted_pairs(id), k),
-                    id,
-                );
-            }
-            heap.into_sorted()
-        } else {
-            knn_linear(&self.store, &scratch.qp, neighbours, stats)
+        let widest = theta_raw >= max_distance(k);
+        let Some(algorithm) = executor.or(widest.then_some(algorithm)) else {
+            return;
         };
-        // The rounds' own result counts are not this query's results.
-        stats.results = results_before + nearest.len() as u64;
-        nearest
+        self.query_into(algorithm, query, theta_raw, scratch, stats, ids);
+        query_pairs_into(query, &mut scratch.qp);
+        for &id in ids.iter() {
+            stats.count_distance();
+            out.push((
+                footrule_pairs(&scratch.qp, self.store.sorted_pairs(id), k),
+                id,
+            ));
+        }
     }
 
     /// Heap footprint of the engine: the corpus store plus every built
@@ -1315,10 +1344,54 @@ impl Engine {
     }
 }
 
+/// k-NN by range queries of growing radius (Chen et al.) — the only
+/// radius loop in the workspace, shared by [`Engine::query_topk`], the
+/// sharded engine and the remote router. `round(θ_raw, pairs)` appends
+/// the `(distance, id)` pair of **every** live ranking within `θ_raw`:
+/// an exact threshold query, fanned out to whatever tiers lie below.
+///
+/// Rounds run at `θ_raw = k, 2k, 4k, …` up to `max_distance(k) − 1`,
+/// the widest radius that still holds only rankings sharing an item
+/// with the query, and then at `max_distance(k)`, which holds every
+/// live ranking. The loop stops at the first round holding at least
+/// `neighbours` pairs. Everything a round did not return is farther
+/// than everything it did, so the `neighbours` lexicographically
+/// smallest pairs of that round — picked by [`KnnHeap`], smaller ids
+/// winning ties — are the answer. The last round returns every live
+/// ranking, so the loop always ends; `neighbours` must be at least 1
+/// and at most the live count for the answer to be full.
+pub(crate) fn knn_by_radius<E>(
+    k: usize,
+    neighbours: usize,
+    mut round: impl FnMut(u32, &mut Vec<(u32, RankingId)>) -> Result<(), E>,
+) -> Result<Vec<(u32, RankingId)>, E> {
+    let widest = max_distance(k);
+    let mut theta_raw = (k as u32).min(widest - 1);
+    let mut pairs = Vec::new();
+    loop {
+        pairs.clear();
+        round(theta_raw, &mut pairs)?;
+        if pairs.len() >= neighbours || theta_raw == widest {
+            break;
+        }
+        theta_raw = if theta_raw == widest - 1 {
+            widest
+        } else {
+            (theta_raw * 2).min(widest - 1)
+        };
+    }
+    let mut heap = KnnHeap::new(neighbours);
+    for &(d, id) in &pairs {
+        heap.offer(d, id);
+    }
+    Ok(heap.into_sorted())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ranksim_datasets::{nyt_like, workload, WorkloadParams};
+    use ranksim_metricspace::knn_linear;
     use ranksim_rankings::PositionMap;
 
     #[test]

@@ -14,9 +14,10 @@
 //! - threshold results translate worker-local ids through the
 //!   manifest's local→global maps, concatenate, and sort ascending —
 //!   the canonical order;
-//! - top-k results feed the same lexicographic
-//!   [`KnnHeap`](ranksim_metricspace::KnnHeap) with its
-//!   smaller-ids-win tie rule.
+//! - top-k runs the radius rounds here, at the top tier: every round
+//!   is one threshold fan-out, whose replies carry each result's exact
+//!   distance, and the lexicographic heap picks the answer with its
+//!   smaller-ids-win tie rule. Workers have no top-k request.
 //!
 //! Both are therefore **bit-identical** to [`ShardedEngine`] and to a
 //! monolithic [`Engine`](crate::engine::Engine) over the same corpus
@@ -31,7 +32,10 @@
 //! the worker speaks first with a versioned **hello** carrying its
 //! shard index, ranking size `k`, live count, and its partition bound
 //! (pivot ranking + covering radius). Unknown versions fail the
-//! handshake typed — they are never guessed at.
+//! handshake typed — they are never guessed at. A threshold reply
+//! (version 2) carries `[local id u32][distance u32]` per result; one
+//! with a distance above the requested `θ_raw` or a local id outside
+//! the shard is a typed error, and nothing of it is merged.
 //!
 //! # Partition pruning
 //!
@@ -42,8 +46,8 @@
 //! `d(q, p) > θ + r` the shard is provably empty for the query and is
 //! not contacted at all ([`RemoteStats::fanout_pruned`] counts these).
 //! Pruning is exact — it only ever skips shards whose result set is
-//! empty — so pruned fan-out changes cost, never answers. Top-k
-//! queries broadcast: a far shard can still hold the k-th neighbour.
+//! empty — so pruned fan-out changes cost, never answers. Every top-k
+//! round is such a threshold fan-out, so rounds prune too.
 //!
 //! # Stragglers and worker death
 //!
@@ -66,16 +70,15 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::engine::{Algorithm, Engine};
+use crate::engine::{knn_by_radius, Algorithm, Engine};
 use crate::persist::{
     load_engine, load_sharded_manifest, shard_snapshot_file, LoadMode, PersistError,
 };
 use crate::wal::crc32;
-use ranksim_metricspace::KnnHeap;
 use ranksim_rankings::{ItemId, PositionMap, QueryStats, RankingId};
 
 /// Protocol version spoken by both sides of the hello.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Sanity bound on a single frame (a 16M-ranking shard answer fits).
 const MAX_FRAME: usize = 64 << 20;
@@ -90,8 +93,6 @@ pub const ENV_SHARD: &str = "RANKSIM_REMOTE_SHARD";
 const OP_HELLO: u8 = 1;
 const OP_THRESHOLD: u8 = 2;
 const OP_THRESHOLD_RESP: u8 = 3;
-const OP_TOPK: u8 = 4;
-const OP_TOPK_RESP: u8 = 5;
 const OP_SHUTDOWN: u8 = 6;
 
 // ---------------------------------------------------------------------
@@ -384,6 +385,7 @@ pub fn serve_shard(snapshot: &Path, socket: &Path, shard: u32) -> Result<(), Rem
     let mut frame = Vec::new();
     let mut query = Vec::new();
     let mut local = Vec::new();
+    let mut pairs = Vec::new();
     let mut resp = Vec::new();
     loop {
         match read_frame(&mut conn, &mut frame) {
@@ -399,33 +401,22 @@ pub fn serve_shard(snapshot: &Path, socket: &Path, shard: u32) -> Result<(), Rem
                 let theta_raw = c.u32().map_err(io_err)?;
                 read_query(&mut c, engine.store().k(), &mut query).map_err(io_err)?;
                 let algorithm = decode_algorithm(alg_tag).map_err(io_err)?;
-                local.clear();
-                engine.query_into_traced(
+                pairs.clear();
+                engine.query_distances_into(
                     algorithm,
                     &query,
                     theta_raw,
                     &mut scratch,
                     &mut stats,
                     &mut local,
+                    &mut pairs,
                 );
                 resp.clear();
                 resp.push(OP_THRESHOLD_RESP);
-                put_u32(&mut resp, local.len() as u32);
-                for id in &local {
-                    put_u32(&mut resp, id.0);
-                }
-                write_frame(&mut conn, &resp).map_err(io_err)?;
-            }
-            OP_TOPK => {
-                let neighbours = c.u32().map_err(io_err)? as usize;
-                read_query(&mut c, engine.store().k(), &mut query).map_err(io_err)?;
-                let pairs = engine.query_topk(&query, neighbours, &mut scratch, &mut stats);
-                resp.clear();
-                resp.push(OP_TOPK_RESP);
                 put_u32(&mut resp, pairs.len() as u32);
                 for (d, id) in &pairs {
-                    put_u32(&mut resp, *d);
                     put_u32(&mut resp, id.0);
+                    put_u32(&mut resp, *d);
                 }
                 write_frame(&mut conn, &resp).map_err(io_err)?;
             }
@@ -776,60 +767,20 @@ impl RemoteShardedEngine {
             "query size must match the corpus ranking size"
         );
         self.stats.queries += 1;
-        let mut req = Vec::with_capacity(13 + 4 * query.len());
-        req.push(OP_THRESHOLD);
-        put_u32(&mut req, encode_algorithm(algorithm));
-        put_u32(&mut req, theta_raw);
-        put_u32(&mut req, query.len() as u32);
-        for item in query {
-            put_u32(&mut req, item.0);
-        }
-        let mut out: Vec<RankingId> = Vec::new();
-        for wi in 0..self.workers.len() {
-            if prune(&self.workers[wi].hello, query, theta_raw) {
-                self.stats.fanout_pruned += 1;
-                continue;
-            }
-            let resp = self.request(wi, &req)?;
-            let mut c = Cursor::new(&resp);
-            let io_err = |e: io::Error, shard: usize| RemoteError::Protocol {
-                shard,
-                detail: e.to_string(),
-            };
-            let shard = self.workers[wi].shard;
-            if c.u8().map_err(|e| io_err(e, shard))? != OP_THRESHOLD_RESP {
-                return Err(RemoteError::Protocol {
-                    shard,
-                    detail: "expected threshold response".into(),
-                });
-            }
-            let count = c.u32().map_err(|e| io_err(e, shard))? as usize;
-            let globals = &self.workers[wi].globals;
-            out.reserve(count);
-            for _ in 0..count {
-                let local = c.u32().map_err(|e| io_err(e, shard))? as usize;
-                let global = *globals.get(local).ok_or_else(|| RemoteError::Protocol {
-                    shard,
-                    detail: format!(
-                        "worker returned local id {local}, shard holds {}",
-                        globals.len()
-                    ),
-                })?;
-                out.push(global);
-            }
-            c.done().map_err(|e| io_err(e, shard))?;
-        }
+        let mut pairs = Vec::new();
+        self.fan_out(algorithm, query, theta_raw, &mut pairs)?;
         // Same reassembly as the in-process engine: per-shard sets are
         // disjoint, concatenate then one ascending sort.
+        let mut out: Vec<RankingId> = pairs.into_iter().map(|(_, id)| id).collect();
         out.sort_unstable();
         Ok(out)
     }
 
     /// Exact top-k: the `neighbours` nearest rankings as ascending
-    /// `(distance, global id)` pairs, merged through the lexicographic
-    /// [`KnnHeap`] — bit-identical to
+    /// `(distance, global id)` pairs — bit-identical to
     /// [`ShardedEngine::query_topk`](crate::shard::ShardedEngine::query_topk).
-    /// Top-k always broadcasts: no threshold, no pruning bound.
+    /// The radius rounds run here; each is one pruned threshold fan-out
+    /// (`Auto` on every worker), counted in the fan-out stats.
     pub fn query_topk(
         &mut self,
         query: &[ItemId],
@@ -842,51 +793,42 @@ impl RemoteShardedEngine {
         );
         self.stats.queries += 1;
         let live: usize = self.workers.iter().map(|w| w.hello.live as usize).sum();
-        let bounded = neighbours.min(live);
-        if bounded == 0 {
+        let neighbours = neighbours.min(live);
+        if neighbours == 0 {
             return Ok(Vec::new());
         }
-        let mut req = Vec::with_capacity(9 + 4 * query.len());
-        req.push(OP_TOPK);
-        // The wire carries the caller's count, saturated: each worker
-        // bounds it by its own live size, as every engine does.
-        put_u32(&mut req, u32::try_from(neighbours).unwrap_or(u32::MAX));
+        knn_by_radius(self.k, neighbours, |theta_raw, pairs| {
+            self.fan_out(Algorithm::Auto, query, theta_raw, pairs)
+        })
+    }
+
+    /// One threshold request to every worker [`prune`] cannot skip;
+    /// appends each result's `(distance, global id)` to `out`.
+    fn fan_out(
+        &mut self,
+        algorithm: Algorithm,
+        query: &[ItemId],
+        theta_raw: u32,
+        out: &mut Vec<(u32, RankingId)>,
+    ) -> Result<(), RemoteError> {
+        let mut req = Vec::with_capacity(13 + 4 * query.len());
+        req.push(OP_THRESHOLD);
+        put_u32(&mut req, encode_algorithm(algorithm));
+        put_u32(&mut req, theta_raw);
         put_u32(&mut req, query.len() as u32);
         for item in query {
             put_u32(&mut req, item.0);
         }
-        let mut merge = KnnHeap::new(bounded);
         for wi in 0..self.workers.len() {
+            if prune(&self.workers[wi].hello, query, theta_raw) {
+                self.stats.fanout_pruned += 1;
+                continue;
+            }
             let resp = self.request(wi, &req)?;
-            let shard = self.workers[wi].shard;
-            let io_err = |e: io::Error| RemoteError::Protocol {
-                shard,
-                detail: e.to_string(),
-            };
-            let mut c = Cursor::new(&resp);
-            if c.u8().map_err(io_err)? != OP_TOPK_RESP {
-                return Err(RemoteError::Protocol {
-                    shard,
-                    detail: "expected top-k response".into(),
-                });
-            }
-            let count = c.u32().map_err(io_err)? as usize;
-            let globals = &self.workers[wi].globals;
-            for _ in 0..count {
-                let d = c.u32().map_err(io_err)?;
-                let local = c.u32().map_err(io_err)? as usize;
-                let global = *globals.get(local).ok_or_else(|| RemoteError::Protocol {
-                    shard,
-                    detail: format!(
-                        "worker returned local id {local}, shard holds {}",
-                        globals.len()
-                    ),
-                })?;
-                merge.offer(d, global);
-            }
-            c.done().map_err(io_err)?;
+            let worker = &self.workers[wi];
+            decode_threshold_reply(&resp, worker.shard, &worker.globals, theta_raw, out)?;
         }
-        Ok(merge.into_sorted())
+        Ok(())
     }
 
     /// Sends `req` to worker `wi` and reads the response, hedging to a
@@ -1036,6 +978,48 @@ fn prune(hello: &WorkerHello, query: &[ItemId], theta_raw: u32) -> bool {
         .all(|b| map.distance_to(&b.pivot) as u64 > theta_raw as u64 + b.radius as u64)
 }
 
+/// Decodes one threshold reply into `(distance, global id)` pairs
+/// appended to `out`. A reply that is malformed, names a local id
+/// outside the shard or a distance above `theta_raw` is a typed
+/// protocol error, and nothing of it is merged.
+fn decode_threshold_reply(
+    resp: &[u8],
+    shard: usize,
+    globals: &[RankingId],
+    theta_raw: u32,
+    out: &mut Vec<(u32, RankingId)>,
+) -> Result<(), RemoteError> {
+    let start = out.len();
+    let bad = |detail: String| io::Error::new(io::ErrorKind::InvalidData, detail);
+    let decoded = (|| {
+        let mut c = Cursor::new(resp);
+        if c.u8()? != OP_THRESHOLD_RESP {
+            return Err(bad("expected threshold response".into()));
+        }
+        for _ in 0..c.u32()? {
+            let (local, d) = (c.u32()?, c.u32()?);
+            match globals.get(local as usize) {
+                Some(&global) if d <= theta_raw => out.push((d, global)),
+                _ => {
+                    return Err(bad(format!(
+                        "worker returned local id {local} at distance {d}; the shard \
+                         holds {} slots, the request asked for θ_raw ≤ {theta_raw}",
+                        globals.len()
+                    )))
+                }
+            }
+        }
+        c.done()
+    })();
+    decoded.map_err(|e| {
+        out.truncate(start);
+        RemoteError::Protocol {
+            shard,
+            detail: e.to_string(),
+        }
+    })
+}
+
 impl Drop for RemoteShardedEngine {
     fn drop(&mut self) {
         for w in &mut self.workers {
@@ -1097,9 +1081,43 @@ mod tests {
         assert_eq!(back.bounds[1].radius, 6);
         assert_eq!(back.max_radius(), 42);
 
-        let mut foreign = hello.encode();
-        foreign[1..5].copy_from_slice(&2u32.to_le_bytes());
-        assert!(WorkerHello::decode(&foreign).is_err());
+        // Version 1 threshold replies carry no distances: refused.
+        for version in [1u32, 3] {
+            let mut foreign = hello.encode();
+            foreign[1..5].copy_from_slice(&version.to_le_bytes());
+            assert!(
+                WorkerHello::decode(&foreign).is_err(),
+                "v{version} accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn forged_threshold_replies_are_typed_errors_and_merge_nothing() {
+        let globals = [RankingId(40), RankingId(41), RankingId(42)];
+        let reply = |words: &[u32]| {
+            let mut p = vec![OP_THRESHOLD_RESP];
+            words.iter().for_each(|&w| put_u32(&mut p, w));
+            p
+        };
+        // `[count]` then `[local, distance]` per result, at θ_raw = 9.
+        let mut out = vec![(0, RankingId(7))];
+        decode_threshold_reply(&reply(&[2, 2, 5, 0, 9]), 1, &globals, 9, &mut out).unwrap();
+        assert_eq!(
+            out,
+            [(0, RankingId(7)), (5, RankingId(42)), (9, RankingId(40))]
+        );
+        // After one honest pair: a distance above θ_raw, a local id
+        // outside the shard, and the version-1 layout (ids only).
+        for forged in [&[2, 1, 3, 2, 10][..], &[2, 1, 3, 3, 0], &[2, 1, 3]] {
+            let mut out = vec![(0, RankingId(7))];
+            let err = decode_threshold_reply(&reply(forged), 1, &globals, 9, &mut out).unwrap_err();
+            assert!(
+                matches!(err, RemoteError::Protocol { shard: 1, .. }),
+                "{err}"
+            );
+            assert_eq!(out, [(0, RankingId(7))], "a forged reply merged pairs");
+        }
     }
 
     #[test]

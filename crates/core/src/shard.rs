@@ -13,10 +13,10 @@
 //!   ranking lives in exactly one shard), so the merge is a
 //!   concatenation; results are returned sorted by global ranking id,
 //!   a canonical order independent of the shard count,
-//! * **top-k queries** — each shard returns its exact lexicographic
-//!   `(distance, id)` top-k; a bounded heap keeps the k smallest global
-//!   pairs. Because [`KnnHeap`] resolves distance ties to smaller ids,
-//!   the merged answer is bit-identical to the monolithic engine's.
+//! * **top-k queries** — one radius loop over all shards: each round
+//!   is the union of the shards' exact threshold sets (with distances),
+//!   and the lexicographic heap picks the answer, smaller ids winning
+//!   ties, so it is bit-identical to the monolithic engine's.
 //!
 //! Shard assignment ([`ShardStrategy`]) is either item-sequence hashing
 //! (`Hash` — streaming-friendly, balanced) or coarse-medoid routing
@@ -34,10 +34,9 @@
 //! shard stores without ever materializing a monolithic corpus.
 
 use crate::batch::{merge_reports, run_stealing, WorkerReport};
-use crate::engine::{Algorithm, Engine, EngineBuilder};
+use crate::engine::{knn_by_radius, Algorithm, Engine, EngineBuilder};
 use crate::planner::PlanStats;
 use ranksim_invindex::PostingOrder;
-use ranksim_metricspace::KnnHeap;
 use ranksim_rankings::{ItemId, QueryScratch, QueryStats, RankingId, RankingStore};
 use std::time::{Duration, Instant};
 
@@ -759,10 +758,9 @@ impl ShardedEngine {
 
     /// The `neighbours` nearest rankings across all shards, as ascending
     /// `(distance, global id)` pairs — bit-identical to
-    /// [`Engine::query_topk`] on the unsharded corpus: each shard yields
-    /// its exact lexicographic top-k (local ids ascend with global ids
-    /// within a shard), and the bounded merge heap keeps the k smallest
-    /// global pairs with the same smaller-ids-win tie rule.
+    /// [`Engine::query_topk`] on the unsharded corpus. The radius rounds
+    /// run here, once for all shards: each round is the union of every
+    /// shard's exact threshold set, which is the global one.
     pub fn query_topk(
         &self,
         query: &[ItemId],
@@ -780,17 +778,28 @@ impl ShardedEngine {
             return Vec::new();
         }
         let results_before = stats.results;
-        let mut merge = KnnHeap::new(neighbours);
-        for shard in &self.shards {
-            let Some(engine) = &shard.engine else {
-                continue;
-            };
-            for (d, local) in engine.query_topk(query, neighbours, &mut scratch.scratch, stats) {
-                merge.offer(d, shard.global[local.index()]);
+        let Ok(nearest) = knn_by_radius(self.k, neighbours, |theta_raw, pairs| {
+            for shard in &self.shards {
+                let Some(engine) = &shard.engine else {
+                    continue;
+                };
+                let start = pairs.len();
+                engine.query_distances_into(
+                    Algorithm::Auto,
+                    query,
+                    theta_raw,
+                    &mut scratch.scratch,
+                    stats,
+                    &mut scratch.local,
+                    pairs,
+                );
+                for pair in &mut pairs[start..] {
+                    pair.1 = shard.global[pair.1.index()];
+                }
             }
-        }
-        let nearest = merge.into_sorted();
-        // Per-shard candidates that lost the merge are not results.
+            Ok::<(), std::convert::Infallible>(())
+        });
+        // The rounds' own result counts are not this query's results.
         stats.results = results_before + nearest.len() as u64;
         nearest
     }

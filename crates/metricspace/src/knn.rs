@@ -12,8 +12,9 @@
 //! `(distance, id)` pairs, so ties at the k-th distance resolve to the
 //! smallest ranking ids. Every traversal (linear scan, BK-, VP- and
 //! M-tree) therefore returns the **same** result set, which is what lets
-//! a sharded search merge per-shard top-k lists into a bit-identical
-//! global answer (see `ranksim_core::shard`).
+//! every tier of `ranksim_core` pick a bit-identical answer from the
+//! `(distance, id)` pairs of its radius rounds, however they were split
+//! across shards.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

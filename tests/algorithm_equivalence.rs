@@ -93,3 +93,28 @@ fn yago_like_k10_all_agree() {
 fn small_k_edge_case_all_agree() {
     check_dataset(nyt_like(600, 5, 80), 5);
 }
+
+/// θ = 1 (`θ_raw = max_distance(k)`) admits every ranking, also those
+/// that share no item with the query: they sit at exactly the maximum
+/// distance and in none of the query's posting lists. Every algorithm
+/// and `Auto` must return the whole corpus in ascending order, for a
+/// corpus ranking and for a query of never-seen items.
+#[test]
+fn theta_one_returns_every_ranking() {
+    let ds = nyt_like(2000, 10, 7);
+    let engine = EngineBuilder::new(ds.store)
+        .coarse_threshold(0.5)
+        .coarse_drop_threshold(0.06)
+        .build();
+    let everything: Vec<RankingId> = engine.store().ids().collect();
+    let unseen: Vec<ItemId> = (0..10).map(|i| ItemId(9_000_000 + i)).collect();
+    let mut scratch = engine.scratch();
+    for q in [engine.store().items(RankingId(0)).to_vec(), unseen] {
+        for alg in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
+            let mut stats = QueryStats::new();
+            let got = engine.query_items(alg, &q, raw_threshold(1.0, 10), &mut scratch, &mut stats);
+            assert_eq!(got, everything, "{alg} at θ = 1");
+            assert_eq!(stats.results, 2000, "{alg} counted results at θ = 1");
+        }
+    }
+}

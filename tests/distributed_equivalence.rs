@@ -24,6 +24,7 @@ use std::path::PathBuf;
 use rand::rngs::StdRng;
 use rand::Rng;
 use ranksim::prelude::*;
+use ranksim::rankings::max_distance;
 
 const K: usize = 6;
 /// Item-disjoint clusters: cluster `c` draws from `c*SPREAD..(c+1)*SPREAD`.
@@ -158,6 +159,22 @@ fn distributed_equals_sharded_equals_monolith() {
                 assert_eq!(dist, expect, "{alg} distributed ≠ monolith at θ={theta}");
             }
         }
+        // θ = 1: every ranking, also those of the other (item-disjoint)
+        // clusters, which share no posting list with the query.
+        let everything: Vec<RankingId> = (0..360).map(RankingId).collect();
+        let raw = raw_threshold(1.0, K);
+        for alg in Algorithm::ALL.iter().copied().chain([Algorithm::Auto]) {
+            let mono = engine.query_items(alg, query, raw, &mut mscratch, &mut stats);
+            assert_eq!(mono, everything, "{alg} monolith at θ = 1");
+            let in_proc = sharded.query_items(alg, query, raw, &mut sscratch, &mut stats);
+            assert_eq!(in_proc, everything, "{alg} sharded at θ = 1");
+            let dist = remote.query_threshold(alg, query, raw);
+            assert_eq!(
+                dist.expect("θ = 1 query"),
+                everything,
+                "{alg} distributed at θ = 1"
+            );
+        }
         for neighbours in [1usize, 5, 17] {
             let expect = engine.query_topk(query, neighbours, &mut mscratch, &mut stats);
             let in_proc = sharded.query_topk(query, neighbours, &mut sscratch, &mut stats);
@@ -261,14 +278,32 @@ fn directory_saved_after_deletes_launches_and_bounds_huge_topk() {
             .map(|id| (map.distance_to(&corpus[id]), RankingId(id as u32)))
             .collect();
         whole.sort_unstable();
-        let huge = u32::MAX as usize;
-        let dist = remote
-            .query_topk(query, huge)
-            .expect("huge distributed top-k");
-        assert_eq!(dist, whole, "huge top-k ≠ the whole live corpus");
+        for huge in [u32::MAX as usize, usize::MAX] {
+            let dist = remote
+                .query_topk(query, huge)
+                .expect("huge distributed top-k");
+            assert_eq!(dist, whole, "huge top-k ≠ the whole live corpus");
+            assert_eq!(
+                loaded.query_topk(query, huge, &mut scratch, &mut stats),
+                whole
+            );
+        }
+
+        // Fewer rankings overlap the query (its own cluster) than asked
+        // for: the rest sit at `max_distance(K)`, smallest live ids first.
+        let overlapping = whole.iter().filter(|&&(d, _)| d < max_distance(K)).count();
+        let neighbours = overlapping + 20;
+        let dist = remote.query_topk(query, neighbours).expect("short top-k");
         assert_eq!(
-            loaded.query_topk(query, huge, &mut scratch, &mut stats),
-            whole
+            dist,
+            whole[..neighbours],
+            "distributed fill ≠ smallest live ids"
+        );
+        let in_proc = loaded.query_topk(query, neighbours, &mut scratch, &mut stats);
+        assert_eq!(
+            in_proc,
+            whole[..neighbours],
+            "sharded fill ≠ smallest live ids"
         );
     }
     drop(remote);

@@ -10,8 +10,10 @@
 //! layout.
 
 use proptest::prelude::*;
+use ranksim::datasets::nyt_like;
 use ranksim::metricspace::{knn_linear, query_pairs};
 use ranksim::prelude::*;
+use ranksim::rankings::max_distance;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
 
@@ -174,6 +176,159 @@ proptest! {
         let claimed: u64 = reports.iter().map(|r| r.queries).sum();
         prop_assert_eq!(claimed as usize, qs.len() * active);
         prop_assert_eq!(ranksim::core::merge_reports(&reports), seq);
+    }
+}
+
+/// θ = 1 on every shard layout, after deletes: every live ranking in
+/// ascending global order, from every algorithm and `Auto`, through the
+/// serial path and the batch driver — for a corpus ranking and for a
+/// query of never-seen items, which shares no posting list with anyone.
+#[test]
+fn theta_one_returns_every_live_ranking_on_every_shard_layout() {
+    let store = nyt_like(400, 8, 7).store;
+    let removed = |id: u32| id % 13 == 5;
+    let live: Vec<RankingId> = (0..400).filter(|&id| !removed(id)).map(RankingId).collect();
+    let unseen: Vec<ItemId> = (0..8).map(|i| ItemId(9_000_000 + i)).collect();
+    let queries = vec![store.items(RankingId(0)).to_vec(), unseen];
+    let raw = raw_threshold(1.0, 8);
+    for strategy in [ShardStrategy::Hash, ShardStrategy::Medoid] {
+        for &shards in &SHARD_COUNTS {
+            let mut se = sharded(&store, shards, strategy, 0.3);
+            for id in (0..400).filter(|&id| removed(id)) {
+                assert!(se.remove_ranking(RankingId(id)));
+            }
+            let mut scratch = se.scratch();
+            for alg in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
+                for q in &queries {
+                    let mut st = QueryStats::new();
+                    let got = se.query_items(alg, q, raw, &mut scratch, &mut st);
+                    assert_eq!(got, live, "{strategy:?} S={shards} {alg} at θ = 1");
+                    assert_eq!(st.results, live.len() as u64);
+                }
+                let (batch, _) = se.query_batch(alg, &queries, raw, 2);
+                assert_eq!(
+                    batch,
+                    [live.clone(), live.clone()],
+                    "{strategy:?} S={shards} {alg}"
+                );
+            }
+        }
+    }
+}
+
+/// Sharded top-k against the monolith and the linear scan over the
+/// same live corpus, with fresh stats: `results` must count the answer,
+/// not the rounds.
+fn assert_topk_matches(engine: &Engine, se: &ShardedEngine, q: &[ItemId], kn: usize) {
+    let mut st = QueryStats::new();
+    let expect = engine.query_topk(q, kn, &mut engine.scratch(), &mut st);
+    assert_eq!(expect.len(), kn.min(engine.live_len()));
+    let linear = knn_linear(engine.store(), &query_pairs(q), expect.len(), &mut st);
+    assert_eq!(expect, linear, "monolith ≠ linear scan at kn={kn}");
+    let mut st = QueryStats::new();
+    let got = se.query_topk(q, kn, &mut se.scratch(), &mut st);
+    assert_eq!(got, expect, "sharded ≠ monolith at kn={kn}");
+    assert_eq!(
+        st.results,
+        got.len() as u64,
+        "sharded top-k counted its rounds"
+    );
+}
+
+/// Which shard hash routing sends `items` to: routing is a function of
+/// the item sequence alone, so a one-ranking engine tells.
+fn hash_shard_of(items: &[ItemId], shards: usize) -> usize {
+    let mut b = ShardedEngineBuilder::new(items.len(), shards, ShardStrategy::Hash)
+        .algorithms(&[Algorithm::Fv]);
+    b.push_ranking(items);
+    let sizes = b.build().shard_sizes();
+    sizes
+        .iter()
+        .position(|&n| n == 1)
+        .expect("one shard holds it")
+}
+
+/// The ten nearest rankings all sit in one hash shard, so every other
+/// shard holds only far rankings: the layout where one top-k loop per
+/// shard widened each shard to the maximum radius.
+#[test]
+fn topk_with_the_ten_nearest_in_one_hash_shard() {
+    const SHARDS: usize = 4;
+    let q: Vec<ItemId> = (0..8).map(ItemId).collect();
+    // Near variants: one query item replaced by a fresh one; those
+    // hashed to shard 0 are kept.
+    let near: Vec<Vec<ItemId>> = (4..8)
+        .flat_map(|p| (0..40).map(move |j| (p, j)))
+        .map(|(p, j)| {
+            let mut v = (0..8).map(ItemId).collect::<Vec<_>>();
+            v[p] = ItemId(1000 + 40 * p as u32 + j);
+            v
+        })
+        .filter(|v| hash_shard_of(v, SHARDS) == 0)
+        .take(10)
+        .collect();
+    assert_eq!(near.len(), 10);
+    // Far filler over items 4.., partly overlapping the query's tail.
+    let mut rankings: Vec<Vec<u32>> = (0..150u32)
+        .map(|i| (0..8u32).map(|j| (i * 7 + j * 13) % 97 + 4).collect())
+        .collect();
+    for (slot, v) in near.iter().enumerate() {
+        rankings.insert(slot * 15, v.iter().map(|i| i.0).collect());
+    }
+    let store = store_of(&rankings);
+    let se = sharded(&store, SHARDS, ShardStrategy::Hash, 0.3);
+    let nearest = knn_linear(&store, &query_pairs(&q), 10, &mut QueryStats::new());
+    for &(_, id) in &nearest {
+        assert_eq!(
+            hash_shard_of(store.items(id), SHARDS),
+            0,
+            "nearest {id:?} left shard 0"
+        );
+    }
+    let engine = monolith(store, 0.3);
+    for kn in [1, 10, 11, 40, usize::MAX] {
+        assert_topk_matches(&engine, &se, &q, kn);
+    }
+}
+
+/// Fewer rankings overlap the query than `neighbours` asks for: the
+/// rest of the answer sits at exactly `max_distance(k)` and must be the
+/// smallest live ids there, deleted ones skipped.
+#[test]
+fn topk_short_of_overlap_fills_with_the_smallest_live_ids() {
+    let q: Vec<ItemId> = (0..6).map(ItemId).collect();
+    // Rankings 0, 10, …, 50 overlap the query; the rest do not.
+    let rankings: Vec<Vec<u32>> = (0..60u32)
+        .map(|i| match i % 10 {
+            0 => vec![i / 10, 50, 51, 52, 53, 54],
+            _ => (0..6).map(|j| 100 + (i * 6 + j) % 200).collect(),
+        })
+        .collect();
+    let store = store_of(&rankings);
+    let mut engine = monolith(store.clone(), 0.3);
+    let removed = [1u32, 2, 4].map(RankingId);
+    for id in removed {
+        assert!(engine.remove_ranking(id));
+    }
+    for strategy in [ShardStrategy::Hash, ShardStrategy::Medoid] {
+        let mut se = sharded(&store, 3, strategy, 0.3);
+        for id in removed {
+            assert!(se.remove_ranking(id));
+        }
+        let got = se.query_topk(&q, 9, &mut se.scratch(), &mut QueryStats::new());
+        let fill = [3u32, 5, 6].map(|id| (max_distance(6), RankingId(id)));
+        assert!(
+            got[..6].iter().all(|&(d, _)| d < max_distance(6)),
+            "{strategy:?}"
+        );
+        assert_eq!(
+            got[6..],
+            fill,
+            "{strategy:?}: the fill is the smallest live ids"
+        );
+        for kn in [6, 7, 9, usize::MAX] {
+            assert_topk_matches(&engine, &se, &q, kn);
+        }
     }
 }
 
