@@ -413,9 +413,9 @@ fn run_ablation(cfg: &ExpConfig) {
             "-- {} — coarse-index partitioning scheme (θC=0.3) --",
             family.name()
         );
-        println!("{:<64} {:>12} {:>12}", "arm", "ms/1000q", "DFC");
+        println!("{:<80} {:>12} {:>12}", "arm", "ms/1000q", "DFC");
         for row in ablation_partitioner(&bench, 0.2, 0.3) {
-            println!("{:<64} {:>12.1} {:>12}", row.arm, row.time_ms, row.dfc);
+            println!("{:<80} {:>12.1} {:>12}", row.arm, row.time_ms, row.dfc);
         }
     }
     println!();

@@ -1,7 +1,6 @@
 //! Experiment harness: one function per table/figure of the paper's
 //! evaluation (Section 7). The `repro` binary prints the same rows and
-//! series the paper reports; the criterion benches reuse the same
-//! experiment code for statistically solid spot measurements.
+//! series the paper reports.
 //!
 //! Scaling knobs (environment variables, all optional):
 //!
@@ -47,12 +46,6 @@ pub struct ExpConfig {
 }
 
 impl ExpConfig {
-    /// Reads the configuration from the environment on top of the
-    /// laptop-budget defaults.
-    pub fn from_env() -> Self {
-        Self::default_scale().with_env_overrides()
-    }
-
     /// Environment variables override the fields of `self` (the scale
     /// baseline picked by the `repro` bin's `--scale` flag).
     pub fn with_env_overrides(self) -> Self {
@@ -80,7 +73,8 @@ impl ExpConfig {
         }
     }
 
-    /// A small configuration for criterion spot benches and smoke tests.
+    /// A small configuration for smoke runs (`repro --scale small`) and
+    /// tests.
     pub fn small() -> Self {
         ExpConfig {
             nyt_n: 8_000,
@@ -1179,7 +1173,9 @@ mod tests {
 
 /// Ablation B — partitioning scheme behind the coarse index: shared
 /// BK-subtrees (the paper's Figure 1 design, zero extra distance calls)
-/// vs Chávez–Navarro random medoids with per-partition BK-trees.
+/// vs Chávez–Navarro random medoids with per-partition BK-trees. Each
+/// arm reports its construction cost both as distance calls and as
+/// wall-clock seconds.
 pub fn ablation_partitioner(bench: &Bench, theta: f64, theta_c: f64) -> Vec<AblationRow> {
     use ranksim_metricspace::RandomMedoidPartitioner;
     let store = bench.store();
@@ -1188,26 +1184,28 @@ pub fn ablation_partitioner(bench: &Bench, theta: f64, theta_c: f64) -> Vec<Abla
     let raw_c = raw_threshold(theta_c, k);
     let mut rows = Vec::new();
 
-    for (name, index) in [
-        (
-            "BK-subtree partitions (paper)",
-            CoarseIndex::build(store, raw_c),
-        ),
-        (
-            "random-medoid partitions",
+    let arms: [(&str, &dyn Fn() -> CoarseIndex); 2] = [
+        ("BK-subtree partitions (paper)", &|| {
+            CoarseIndex::build(store, raw_c)
+        }),
+        ("random-medoid partitions", &|| {
             CoarseIndex::from_partitioning(
                 store,
                 RandomMedoidPartitioner::new(17).partition(store, raw_c),
-            ),
-        ),
-    ] {
+            )
+        }),
+    ];
+    for (name, build) in arms {
+        let t = Instant::now();
+        let index = build();
+        let build_s = t.elapsed().as_secs_f64();
         let build_dfc = index.build_stats().distance_calls;
         let (d, stats, _) = time_queries(&bench.queries, |q, s| {
             index.query(store, q, raw, false, s).len()
         });
         rows.push(AblationRow {
             arm: format!(
-                "{name} ({} partitions, {build_dfc} build DFC)",
+                "{name} ({} partitions, {build_dfc} build DFC, {build_s:.4} s build)",
                 index.num_partitions()
             ),
             time_ms: ms(d) * bench.scale_to_1000,

@@ -566,24 +566,34 @@ mod tests {
         let core = tiny_core(64);
         let snap = core.engine().snapshot();
         let theta = raw_threshold(0.2, 8);
-        std::thread::scope(|scope| {
+        let queries: Vec<Vec<ItemId>> = (0..20u32)
+            .map(|i| snap.store().items(RankingId(i * 7 % 200)).to_vec())
+            .collect();
+        // Nothing inside the scope may panic: a failed check there would
+        // leave the dispatcher running and the scope would never join.
+        let replies: Vec<Option<ReadReply>> = std::thread::scope(|scope| {
             let dispatcher = scope.spawn(|| core.dispatch_loop());
-            let mut expected_scratch = snap.scratch();
-            let mut stats = QueryStats::new();
-            for i in 0..20u32 {
-                let q: Vec<ItemId> = snap.store().items(RankingId(i * 7 % 200)).to_vec();
-                let rx = core.submit_read(q.clone(), theta).expect("admitted");
-                let got = match rx.recv().expect("reply") {
-                    ReadReply::Done(ids) => ids,
-                    ReadReply::TimedOut => panic!("query {i} timed out"),
-                };
-                let expect =
-                    snap.query_items(Algorithm::Fv, &q, theta, &mut expected_scratch, &mut stats);
-                assert_eq!(got, expect, "query {i}");
-            }
+            let replies = queries
+                .iter()
+                .map(|q| {
+                    let rx = core.submit_read(q.clone(), theta).ok()?;
+                    rx.recv().ok()
+                })
+                .collect();
             core.shutdown();
             dispatcher.join().unwrap();
+            replies
         });
+        let mut expected_scratch = snap.scratch();
+        let mut stats = QueryStats::new();
+        for (i, (q, reply)) in queries.iter().zip(replies).enumerate() {
+            let Some(ReadReply::Done(got)) = reply else {
+                panic!("query {i} got no answer: {reply:?}");
+            };
+            let expect =
+                snap.query_items(Algorithm::Fv, q, theta, &mut expected_scratch, &mut stats);
+            assert_eq!(got, expect, "query {i}");
+        }
     }
 
     #[test]
@@ -617,8 +627,24 @@ mod tests {
     fn socket_protocol_round_trips() {
         let core = Arc::new(tiny_core(64));
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
-        let addr = listener.local_addr().unwrap();
-        std::thread::scope(|scope| {
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let q = core
+            .engine()
+            .snapshot()
+            .store()
+            .items(RankingId(3))
+            .iter()
+            .map(|i| i.0.to_string())
+            .collect::<Vec<_>>()
+            .join(",");
+        let fresh = "900,901,902,903,904,905,906,907";
+
+        // Nothing inside the scope may panic: a failed check there would
+        // leave the dispatcher and the server running and the scope would
+        // never join. The replies are collected, the threads wound down,
+        // and only then checked.
+        let replies: Vec<String> = std::thread::scope(|scope| {
             let dispatcher = {
                 let core = Arc::clone(&core);
                 scope.spawn(move || core.dispatch_loop())
@@ -630,59 +656,76 @@ mod tests {
 
             // Scoped so the connection closes (EOF for the handler
             // thread) before the server is asked to wind down.
-            {
-                let stream = TcpStream::connect(addr).expect("connect");
-                let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let replies = {
                 let mut send = |line: &str| -> String {
-                    let mut s = stream.try_clone().unwrap();
-                    s.write_all(line.as_bytes()).unwrap();
-                    s.write_all(b"\n").unwrap();
+                    let mut s = &stream;
+                    let sent = s
+                        .write_all(line.as_bytes())
+                        .and_then(|()| s.write_all(b"\n"));
                     let mut response = String::new();
-                    reader.read_line(&mut response).unwrap();
-                    response.trim_end().to_string()
+                    match sent.and_then(|()| reader.read_line(&mut response)) {
+                        Ok(_) => response.trim_end().to_string(),
+                        Err(e) => format!("io error: {e}"),
+                    }
                 };
-
-                // A self-query at θ = 0 must find the ranking itself.
-                let items: Vec<String> = core
-                    .engine()
-                    .snapshot()
-                    .store()
-                    .items(RankingId(3))
-                    .iter()
-                    .map(|i| i.0.to_string())
-                    .collect();
-                let q = items.join(",");
-                let r = send(&format!("Q 0.0 {q}"));
-                assert!(r.starts_with("R "), "got: {r}");
-                assert!(r[2..].split(',').any(|id| id == "3"), "got: {r}");
-
-                // Malformed input degrades to ERR — never a panic.
-                assert!(send("Q 0.1 1,2,3").starts_with("ERR"), "wrong length");
-                assert!(
-                    send("Q 0.1 1,1,2,3,4,5,6,7").starts_with("ERR"),
-                    "duplicate"
-                );
-                assert!(send(&format!("Q 7 {q}")).starts_with("ERR"), "bad theta");
-                assert!(send("nonsense").starts_with("ERR"));
-
-                // Insert a fresh ranking, find it, delete it, miss it.
-                let fresh = "900,901,902,903,904,905,906,907";
-                let r = send(&format!("I {fresh}"));
-                assert!(r.starts_with("OK "), "got: {r}");
-                let id: u32 = r[3..].parse().unwrap();
+                let mut replies = vec![
+                    // A self-query at θ = 0 must find the ranking itself.
+                    send(&format!("Q 0.0 {q}")),
+                    // Malformed input degrades to ERR — never a panic:
+                    // wrong length, duplicate item, bad θ, unknown verb.
+                    send("Q 0.1 1,2,3"),
+                    send("Q 0.1 1,1,2,3,4,5,6,7"),
+                    send(&format!("Q 7 {q}")),
+                    send("nonsense"),
+                    // Insert a fresh ranking, find it, delete it, miss it.
+                    send(&format!("I {fresh}")),
+                ];
+                let id = replies[5].strip_prefix("OK ").unwrap_or("").to_string();
                 core.engine().flush();
-                let r = send(&format!("Q 0.0 {fresh}"));
-                assert!(r[2..].split(',').any(|x| x == id.to_string()), "got: {r}");
-                assert_eq!(send(&format!("D {id}")), "OK");
-                assert_eq!(send(&format!("D {id}")), "MISS");
-            }
+                replies.push(send(&format!("Q 0.0 {fresh}")));
+                replies.push(send(&format!("D {id}")));
+                replies.push(send(&format!("D {id}")));
+                drop(reader);
+                drop(stream);
+                replies
+            };
 
             core.shutdown();
             dispatcher.join().unwrap();
             // The accept loop polls the stop flag; no nudge connection
             // is needed for the server thread to exit.
             server.join().unwrap();
+            replies
         });
+
+        let [self_hit, wrong_len, duplicate, bad_theta, unknown, inserted, found, deleted, missed] =
+            &replies[..]
+        else {
+            panic!("expected nine replies, got {replies:?}");
+        };
+        assert!(self_hit.starts_with("R "), "got: {self_hit}");
+        assert!(
+            self_hit[2..].split(',').any(|id| id == "3"),
+            "got: {self_hit}"
+        );
+        for (reply, why) in [
+            (wrong_len, "wrong length"),
+            (duplicate, "duplicate"),
+            (bad_theta, "bad theta"),
+            (unknown, "unknown verb"),
+        ] {
+            assert!(reply.starts_with("ERR"), "{why}: got {reply}");
+        }
+        let id: u32 = inserted
+            .strip_prefix("OK ")
+            .and_then(|id| id.parse().ok())
+            .unwrap_or_else(|| panic!("insert got: {inserted}"));
+        assert!(
+            found.starts_with("R ") && found[2..].split(',').any(|x| x == id.to_string()),
+            "got: {found}"
+        );
+        assert_eq!(deleted, "OK");
+        assert_eq!(missed, "MISS");
     }
 
     #[test]

@@ -616,14 +616,6 @@ impl SnapshotEngine {
         }
     }
 
-    /// Current WAL length in bytes (`None` for a volatile engine).
-    pub fn wal_bytes(&self) -> Option<u64> {
-        lock_ignore_poison(&self.shared.writer)
-            .wal
-            .as_ref()
-            .map(|wal| wal.bytes())
-    }
-
     /// The WAL's fault-injection handle (`None` for a volatile
     /// engine) — the lever the fault-injection harness arms; see
     /// [`crate::wal::FailPoint`].

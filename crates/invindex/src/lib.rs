@@ -21,7 +21,7 @@
 //! | blocked access, pruning and dropping | [`blocked_prune::blocked_prune_drop`] | Blocked+Prune+Drop |
 //! | per-query materialized oracle | [`minimal::MinimalFv`] | Minimal F&V |
 //!
-//! The overlap-based dropping criterion (Lemma 2) lives in [`mod@drop`], the
+//! The overlap-based dropping rule (Lemma 2) lives in [`mod@drop`], the
 //! NRA-style partial-information distance bounds in [`bounds`].
 
 pub mod augmented;
