@@ -26,16 +26,16 @@
 //! sound upper bound on the candidate count (every surviving candidate
 //! consumes at least `ℓ` postings).
 //!
-//! The delta lists live in one CSR arena (a contiguous posting-id array
-//! plus `k + 1` absolute prefix-position offsets per dense item, like the
-//! blocked inverted index), and the per-query candidate counts accumulate
+//! The delta lists live in one CSR arena (a contiguous posting-id array,
+//! id-sorted within each `(item, prefix position)` run, plus `k + 1`
+//! absolute prefix-position offsets per dense item, like the blocked
+//! inverted index), and the per-query candidate counts accumulate
 //! in the epoch-versioned [`QueryScratch`] counter — the query hot path
 //! performs no hashing and, in steady state, no heap allocation.
 
 use std::sync::Arc;
 
 use ranksim_invindex::drop::omega;
-use ranksim_invindex::{rank_window, validate_rank_sorted, PostingOrder};
 use ranksim_rankings::{
     ExecStats, ItemId, ItemRemap, QueryExecutor, QueryScratch, QueryStats, RankingId, RankingStore,
 };
@@ -69,28 +69,23 @@ pub struct AdaptSearchIndex {
     /// Corpus frequency per dense item id (defines the global order).
     freq: Vec<u32>,
     /// All delta postings, item-major, prefix-position-major within each
-    /// item.
+    /// item, id-sorted within each `(item, prefix position)` run.
     ids: Vec<RankingId>,
-    /// Parallel plane of the item's **store rank** in each posting's
-    /// ranking; empty under [`PostingOrder::Id`].
-    ranks: Vec<u32>,
     /// `k + 1` absolute offsets per dense item into `ids`; the layout of
     /// the blocked inverted index with prefix positions instead of ranks.
     pos_offsets: Vec<u32>,
     indexed: usize,
     params: AdaptCostParams,
-    order: PostingOrder,
 }
 
 impl AdaptSearchIndex {
     /// Indexes every ranking of the store with default cost parameters.
     pub fn build(store: &RankingStore) -> Self {
-        Self::build_with(store, AdaptCostParams::default())
-    }
-
-    /// Indexes every ranking of the store.
-    pub fn build_with(store: &RankingStore, params: AdaptCostParams) -> Self {
-        Self::build_with_remap(store, Arc::new(ItemRemap::build(store)), params)
+        Self::build_with_remap(
+            store,
+            Arc::new(ItemRemap::build(store)),
+            AdaptCostParams::default(),
+        )
     }
 
     /// Indexes every ranking of the store against a shared corpus remap.
@@ -98,23 +93,6 @@ impl AdaptSearchIndex {
         store: &RankingStore,
         remap: Arc<ItemRemap>,
         params: AdaptCostParams,
-    ) -> Self {
-        Self::build_with_remap_ordered(store, remap, params, PostingOrder::default())
-    }
-
-    /// Like [`AdaptSearchIndex::build_with_remap`] with an explicit
-    /// per-run posting order. Under [`PostingOrder::SuffixBound`] every
-    /// `(item, prefix position)` run carries a parallel store-rank plane
-    /// and is sorted by `(rank, id)`, so the probe phase can window each
-    /// run to ranks within θ of the item's query rank: a shared item at
-    /// candidate rank `r` contributes at least `|r − q(i)|` to the
-    /// Footrule distance, so a true result loses **no** probe counts to
-    /// the window and the count filter stays sound.
-    pub fn build_with_remap_ordered(
-        store: &RankingStore,
-        remap: Arc<ItemRemap>,
-        params: AdaptCostParams,
-        order: PostingOrder,
     ) -> Self {
         let k = store.k();
         let m = remap.len();
@@ -131,25 +109,26 @@ impl AdaptSearchIndex {
             }
         }
         // Pass 2: count (dense item, prefix position) occurrences; records
-        // are reordered by (freq, item id) — the dense id and the item's
-        // store rank ride along so the fill passes need no extra lookups.
+        // are reordered by (freq, item id) — the dense id rides along so
+        // the fill passes need no extra lookups.
         let mut pos_offsets = vec![0u32; m * stride + 1];
-        let mut record: Vec<(u32, ItemId, u32, u32)> = Vec::with_capacity(k);
-        let reorder =
-            |record: &mut Vec<(u32, ItemId, u32, u32)>, items: &[ItemId]| {
-                record.clear();
-                // Items without a dense coordinate can carry no posting, so
-                // they are dropped rather than aborting the build; dropping
-                // only moves the ranking's mapped items into *earlier* delta
-                // lists, which can never lose a candidate at query time.
-                record.extend(items.iter().enumerate().filter_map(|(r, &i)| {
-                    remap.dense(i).map(|d| (freq[d as usize], i, d, r as u32))
-                }));
-                record.sort_unstable();
-            };
+        let mut record: Vec<(u32, ItemId, u32)> = Vec::with_capacity(k);
+        let reorder = |record: &mut Vec<(u32, ItemId, u32)>, items: &[ItemId]| {
+            record.clear();
+            // Items without a dense coordinate can carry no posting, so
+            // they are dropped rather than aborting the build; dropping
+            // only moves the ranking's mapped items into *earlier* delta
+            // lists, which can never lose a candidate at query time.
+            record.extend(
+                items
+                    .iter()
+                    .filter_map(|&i| remap.dense(i).map(|d| (freq[d as usize], i, d))),
+            );
+            record.sort_unstable();
+        };
         for id in store.live_ids() {
             reorder(&mut record, store.items(id));
-            for (pos, &(_, _, d, _)) in record.iter().enumerate() {
+            for (pos, &(_, _, d)) in record.iter().enumerate() {
                 pos_offsets[d as usize * stride + pos + 1] += 1;
             }
         }
@@ -159,41 +138,14 @@ impl AdaptSearchIndex {
         let total = *pos_offsets.last().unwrap_or(&0) as usize;
         let mut cursors: Vec<u32> = pos_offsets[..m * stride].to_vec();
         let mut ids = vec![RankingId(0); total];
-        let mut ranks = if order == PostingOrder::SuffixBound {
-            vec![0u32; total]
-        } else {
-            Vec::new()
-        };
         // Pass 3: fill; iterating store ids ascending keeps every
         // (item, position) run id-sorted.
         for id in store.live_ids() {
             reorder(&mut record, store.items(id));
-            for (pos, &(_, _, d, store_rank)) in record.iter().enumerate() {
+            for (pos, &(_, _, d)) in record.iter().enumerate() {
                 let c = &mut cursors[d as usize * stride + pos];
                 ids[*c as usize] = id;
-                if order == PostingOrder::SuffixBound {
-                    ranks[*c as usize] = store_rank;
-                }
                 *c += 1;
-            }
-        }
-        if order == PostingOrder::SuffixBound {
-            // Re-sort each (item, position) run by (rank, id). The strided
-            // offsets array's phantom per-item tail windows are empty, so
-            // treating every consecutive window as a run is safe.
-            let mut tmp: Vec<(u32, RankingId)> = Vec::new();
-            for w in 0..m * stride {
-                let (s, e) = (pos_offsets[w] as usize, pos_offsets[w + 1] as usize);
-                if e - s < 2 {
-                    continue;
-                }
-                tmp.clear();
-                tmp.extend(ranks[s..e].iter().copied().zip(ids[s..e].iter().copied()));
-                tmp.sort_unstable();
-                for (i, &(r, id)) in tmp.iter().enumerate() {
-                    ranks[s + i] = r;
-                    ids[s + i] = id;
-                }
             }
         }
         AdaptSearchIndex {
@@ -201,18 +153,10 @@ impl AdaptSearchIndex {
             remap,
             freq,
             ids,
-            ranks,
             pos_offsets,
             indexed: store.live_len(),
             params,
-            order,
         }
-    }
-
-    /// The per-run posting order the index was built with.
-    #[inline]
-    pub fn order(&self) -> PostingOrder {
-        self.order
     }
 
     /// The ranking size the index was built for.
@@ -233,7 +177,7 @@ impl AdaptSearchIndex {
 
     /// Corpus frequency of `item` (0 if unseen).
     #[inline]
-    pub fn item_freq(&self, item: ItemId) -> u32 {
+    fn item_freq(&self, item: ItemId) -> u32 {
         self.remap
             .dense(item)
             .map(|d| self.freq[d as usize])
@@ -301,7 +245,7 @@ impl AdaptSearchIndex {
     }
 
     /// Scratch-reusing AdaptSearch; appends results to `out`.
-    pub fn search_into(
+    fn search_into(
         &self,
         store: &RankingStore,
         query: &[ItemId],
@@ -325,46 +269,13 @@ impl AdaptSearchIndex {
         let prefix_len = (self.k - c + ell).min(self.k);
         qmap.build(&self.remap, query);
 
-        // Probe phase: count prefix co-occurrences per candidate. Under
-        // the suffix-bound order each run is windowed to store ranks
-        // within θ of the item's query rank: a true result's shared items
-        // all satisfy |r − q(i)| ≤ dist ≤ θ, so its count never drops and
-        // the ℓ filter below stays sound — only non-results lose counts.
+        // Probe phase: count prefix co-occurrences per candidate.
         counts.begin(store.len());
-        if self.order == PostingOrder::SuffixBound {
-            let stride = self.k + 1;
-            for &item in &qsorted[..prefix_len] {
-                let Some(d) = self.remap.dense(item) else {
-                    stats.count_list(0);
-                    continue;
-                };
-                // Mapped query items always get a rank in `qmap.build`.
-                let q_rank =
-                    qmap.rank_of(&self.remap, item)
-                        .expect("mapped query item has a recorded rank") as u32;
-                let base = d as usize * stride;
-                let mut scanned = 0usize;
-                let mut skipped = 0usize;
-                for pos in 0..prefix_len {
-                    let lo = self.pos_offsets[base + pos] as usize;
-                    let hi = self.pos_offsets[base + pos + 1] as usize;
-                    let (s, e) = rank_window(&self.ranks[lo..hi], q_rank, theta_raw);
-                    scanned += e - s;
-                    skipped += (hi - lo) - (e - s);
-                    for &id in &self.ids[lo + s..lo + e] {
-                        *counts.probe(id.0) += 1;
-                    }
-                }
-                stats.count_list(scanned);
-                stats.postings_skipped += skipped as u64;
-            }
-        } else {
-            for &item in &qsorted[..prefix_len] {
-                let slice = self.prefix_slice(item, prefix_len);
-                stats.count_list(slice.len());
-                for &id in slice {
-                    *counts.probe(id.0) += 1;
-                }
+        for &item in &qsorted[..prefix_len] {
+            let slice = self.prefix_slice(item, prefix_len);
+            stats.count_list(slice.len());
+            for &id in slice {
+                *counts.probe(id.0) += 1;
             }
         }
 
@@ -392,7 +303,6 @@ impl AdaptSearchIndex {
         std::mem::size_of::<Self>()
             + self.freq.capacity() * std::mem::size_of::<u32>()
             + self.ids.capacity() * std::mem::size_of::<RankingId>()
-            + self.ranks.capacity() * std::mem::size_of::<u32>()
             + self.pos_offsets.capacity() * std::mem::size_of::<u32>()
             + self.remap.heap_bytes()
     }
@@ -405,11 +315,9 @@ impl AdaptSearchIndex {
             k: self.k as u32,
             indexed: self.indexed as u32,
             params: self.params,
-            order: self.order,
             freq: self.freq.clone(),
             pos_offsets: self.pos_offsets.clone(),
             ids: ranksim_rankings::ranking_vec_into_u32(self.ids.clone()),
-            ranks: self.ranks.clone(),
         }
     }
 
@@ -448,38 +356,14 @@ impl AdaptSearchIndex {
                 parts.ids.len()
             ));
         }
-        match parts.order {
-            PostingOrder::Id => {
-                if !parts.ranks.is_empty() {
-                    return Err("id-ordered delta index must not carry a rank plane".into());
-                }
-            }
-            PostingOrder::SuffixBound => {
-                if parts.ranks.len() != parts.ids.len() {
-                    return Err(format!(
-                        "rank plane length {} != posting arena length {}",
-                        parts.ranks.len(),
-                        parts.ids.len()
-                    ));
-                }
-                if parts.ranks.iter().any(|&r| r as usize >= k) {
-                    return Err(format!("delta posting rank out of range (k = {k})"));
-                }
-                // Validated, never re-sorted on load; the strided offsets
-                // double as per-run boundaries (phantom windows are empty).
-                validate_rank_sorted(&parts.pos_offsets, &parts.ranks, &parts.ids)?;
-            }
-        }
         Ok(AdaptSearchIndex {
             k,
             remap,
             freq: parts.freq,
             ids: ranksim_rankings::ranking_vec_from_u32(parts.ids),
-            ranks: parts.ranks,
             pos_offsets: parts.pos_offsets,
             indexed: parts.indexed as usize,
             params: parts.params,
-            order: parts.order,
         })
     }
 }
@@ -491,11 +375,9 @@ pub struct AdaptIndexParts {
     pub k: u32,
     pub indexed: u32,
     pub params: AdaptCostParams,
-    pub order: PostingOrder,
     pub freq: Vec<u32>,
     pub pos_offsets: Vec<u32>,
     pub ids: Vec<u32>,
-    pub ranks: Vec<u32>,
 }
 
 /// [`QueryExecutor`] running AdaptSearch over a shared delta index.
@@ -702,126 +584,6 @@ mod tests {
         }
         let ell = index.choose_ell(&qsorted, c);
         assert!((1..=c).contains(&ell));
-    }
-
-    #[test]
-    fn every_order_and_kernel_combination_equals_scan() {
-        let store = random_store(400, 7, 60, 123);
-        let remap = Arc::new(ItemRemap::build(&store));
-        let by_id = AdaptSearchIndex::build_with_remap_ordered(
-            &store,
-            remap.clone(),
-            AdaptCostParams::default(),
-            PostingOrder::Id,
-        );
-        let ordered = AdaptSearchIndex::build_with_remap_ordered(
-            &store,
-            remap,
-            AdaptCostParams::default(),
-            PostingOrder::SuffixBound,
-        );
-        assert_eq!(by_id.order(), PostingOrder::Id);
-        assert_eq!(ordered.order(), PostingOrder::SuffixBound);
-        let mut scratch = QueryScratch::new();
-        let mut rng = StdRng::seed_from_u64(9);
-        for _ in 0..10 {
-            let base = rng.random_range(0..400u32);
-            let mut q: Vec<ItemId> = store.items(RankingId(base)).to_vec();
-            q.swap(1, 4);
-            for theta in [0.0, 0.1, 0.2, 0.4] {
-                let raw = raw_threshold(theta, 7);
-                let mut expect = scan(&store, &q, raw);
-                expect.sort_unstable();
-                for index in [&by_id, &ordered] {
-                    let mut stats = QueryStats::new();
-                    let mut got = Vec::new();
-                    index.search_into(&store, &q, raw, &mut scratch, &mut stats, &mut got);
-                    got.sort_unstable();
-                    assert_eq!(got, expect, "order {} θ={theta}", index.order());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn suffix_bound_probe_skips_postings_without_losing_results() {
-        let store = random_store(500, 10, 90, 321);
-        let remap = Arc::new(ItemRemap::build(&store));
-        let by_id = AdaptSearchIndex::build_with_remap_ordered(
-            &store,
-            remap.clone(),
-            AdaptCostParams::default(),
-            PostingOrder::Id,
-        );
-        let ordered = AdaptSearchIndex::build_with_remap_ordered(
-            &store,
-            remap,
-            AdaptCostParams::default(),
-            PostingOrder::SuffixBound,
-        );
-        let raw = raw_threshold(0.05, 10);
-        let mut scratch = QueryScratch::new();
-        let mut skipped_any = false;
-        for seed in 0..8u64 {
-            let mut q: Vec<ItemId> = store.items(RankingId((seed * 31 % 500) as u32)).to_vec();
-            q.swap(0, 2);
-            let (mut s_id, mut s_sb) = (QueryStats::new(), QueryStats::new());
-            let (mut got_id, mut got_sb) = (Vec::new(), Vec::new());
-            by_id.search_into(&store, &q, raw, &mut scratch, &mut s_id, &mut got_id);
-            ordered.search_into(&store, &q, raw, &mut scratch, &mut s_sb, &mut got_sb);
-            got_id.sort_unstable();
-            got_sb.sort_unstable();
-            assert_eq!(got_id, got_sb, "seed {seed}");
-            // The window partitions the unordered probe volume exactly.
-            assert_eq!(
-                s_sb.entries_scanned + s_sb.postings_skipped,
-                s_id.entries_scanned,
-                "seed {seed}"
-            );
-            skipped_any |= s_sb.postings_skipped > 0;
-        }
-        assert!(skipped_any, "tight θ must window away some delta postings");
-    }
-
-    #[test]
-    fn ordered_parts_round_trip_validates_rank_plane() {
-        let store = random_store(200, 6, 50, 777);
-        let remap = Arc::new(ItemRemap::build(&store));
-        let ordered = AdaptSearchIndex::build_with_remap_ordered(
-            &store,
-            remap.clone(),
-            AdaptCostParams::default(),
-            PostingOrder::SuffixBound,
-        );
-        let parts = ordered.export_parts();
-        assert_eq!(parts.ranks.len(), parts.ids.len());
-        let back = AdaptSearchIndex::from_parts(parts.clone(), remap.clone()).expect("round trip");
-        assert_eq!(back.order(), PostingOrder::SuffixBound);
-        assert_eq!(back.ranks, ordered.ranks);
-        assert_eq!(back.ids, ordered.ids);
-        // Tampering with the rank plane is rejected, not repaired.
-        let mut bad = parts.clone();
-        if let Some(w) = (0..bad.pos_offsets.len() - 1)
-            .find(|&w| bad.pos_offsets[w + 1] as usize - bad.pos_offsets[w] as usize >= 2)
-        {
-            let s = bad.pos_offsets[w] as usize;
-            bad.ranks.swap(s, s + 1);
-            bad.ids.swap(s, s + 1);
-            assert!(AdaptSearchIndex::from_parts(bad, remap.clone()).is_err());
-        } else {
-            panic!("store too small to exercise a multi-entry run");
-        }
-        // A spurious rank plane on an id-ordered index is rejected too.
-        let by_id = AdaptSearchIndex::build_with_remap_ordered(
-            &store,
-            remap.clone(),
-            AdaptCostParams::default(),
-            PostingOrder::Id,
-        );
-        let mut spurious = by_id.export_parts();
-        assert!(spurious.ranks.is_empty());
-        spurious.ranks = vec![0; spurious.ids.len()];
-        assert!(AdaptSearchIndex::from_parts(spurious, remap).is_err());
     }
 
     #[test]

@@ -173,7 +173,7 @@ pub fn ms(d: Duration) -> f64 {
 }
 
 /// Times `f` over all queries, returning (duration, stats, total results).
-pub fn time_queries<F: FnMut(&[ItemId], &mut QueryStats) -> usize>(
+fn time_queries<F: FnMut(&[ItemId], &mut QueryStats) -> usize>(
     queries: &[Vec<ItemId>],
     mut f: F,
 ) -> (Duration, QueryStats, usize) {
@@ -267,7 +267,7 @@ impl Structure {
 }
 
 /// Times `structure` on `bench` at normalized threshold `theta`.
-pub fn time_structure(bench: &Bench, structure: Structure, theta: f64) -> f64 {
+fn time_structure(bench: &Bench, structure: Structure, theta: f64) -> f64 {
     let store = bench.store();
     let raw = raw_threshold(theta, store.k());
     let run = |f: &mut dyn FnMut(&[ItemId], &mut QueryStats) -> usize| {

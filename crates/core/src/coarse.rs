@@ -15,6 +15,11 @@
 //! the relaxed threshold); beyond that the index falls back to a medoid
 //! scan, preserving correctness at degraded speed.
 //!
+//! The index is built once over a corpus and then queried. A live corpus
+//! goes through the engine's delta overlay, and `Engine::compact`
+//! rebuilds the index; the persisted form keeps only the partitioning
+//! and the medoid index, and derives the medoid → partition table.
+//!
 //! Both phases run through the reusable [`QueryScratch`]: the filter
 //! reuses the F&V epoch structures, the validation reuses the sorted
 //! query-pair buffer and the BK traversal stack — zero heap allocations
@@ -41,11 +46,9 @@ pub struct CoarseBuildStats {
 
 /// The coarse hybrid index.
 ///
-/// Supports a live corpus: [`CoarseIndex::insert`] appends a ranking to
-/// the covering partition (preserving the Lemma 1 radius invariant) or
-/// opens a fresh partition whose medoid is kept in a linearly-scanned
-/// overlay next to the CSR medoid index; removals need no index
-/// operation at all — tombstoned members are filtered at emission and a
+/// Built once over a corpus and then queried; a live corpus goes through
+/// the engine's delta overlay and a rebuild on compaction. Removals need
+/// no index operation: tombstoned members are filtered at emission and a
 /// tombstoned medoid keeps representing its partition with frozen
 /// content, so every triangle-inequality bound stays exact.
 #[derive(Debug, Clone)]
@@ -54,14 +57,27 @@ pub struct CoarseIndex {
     partitioning: Partitioning,
     medoid_index: PlainInvertedIndex,
     /// `medoid_to_partition[ranking] = partition` for medoids,
-    /// `u32::MAX` otherwise — a flat array instead of a hash map, sized by
-    /// the corpus.
+    /// `u32::MAX` otherwise — a flat array instead of a hash map, derived
+    /// from the partitioning (never persisted).
     medoid_to_partition: Vec<u32>,
-    /// Medoids of partitions opened after the build — invisible to the
-    /// CSR medoid index, so the filter phase scans them linearly (they
-    /// are few until the next rebuild folds them in).
-    extra_medoids: Vec<(RankingId, u32)>,
     build: CoarseBuildStats,
+}
+
+/// The `ranking → partition` table of a partitioning's medoids over a
+/// store id space of `id_space` rankings; `Err` when a medoid lies
+/// outside it or two partitions share a medoid.
+fn medoid_map(partitioning: &Partitioning, id_space: usize) -> Result<Vec<u32>, String> {
+    let mut map = vec![u32::MAX; id_space];
+    for (pi, m) in partitioning.medoids().enumerate() {
+        match map.get_mut(m.index()) {
+            None => return Err(format!("medoid {} is outside the store", m.0)),
+            Some(slot) if *slot != u32::MAX => {
+                return Err(format!("ranking {} is the medoid of two partitions", m.0))
+            }
+            Some(slot) => *slot = pi as u32,
+        }
+    }
+    Ok(map)
 }
 
 impl CoarseIndex {
@@ -85,23 +101,16 @@ impl CoarseIndex {
     }
 
     /// Builds the index from an existing partitioning and a shared remap.
-    pub fn from_partitioning_with_remap(
+    fn from_partitioning_with_remap(
         store: &RankingStore,
         remap: Arc<ItemRemap>,
         partitioning: Partitioning,
     ) -> Self {
-        let mut medoids: Vec<(RankingId, u32)> = partitioning
-            .medoids()
-            .enumerate()
-            .map(|(pi, m)| (m, pi as u32))
-            .collect();
-        medoids.sort_unstable_by_key(|&(m, _)| m);
-        let medoid_index =
-            PlainInvertedIndex::build_with_remap(store, remap, medoids.iter().map(|&(m, _)| m));
-        let mut medoid_to_partition = vec![u32::MAX; store.len()];
-        for (m, pi) in medoids {
-            medoid_to_partition[m.index()] = pi;
-        }
+        let mut medoids: Vec<RankingId> = partitioning.medoids().collect();
+        medoids.sort_unstable();
+        let medoid_index = PlainInvertedIndex::build_with_remap(store, remap, medoids);
+        let medoid_to_partition = medoid_map(&partitioning, store.len())
+            .expect("a partitioner picks each medoid from the store, once");
         let build = CoarseBuildStats {
             distance_calls: partitioning.build_distance_calls,
             num_partitions: partitioning.num_partitions(),
@@ -111,42 +120,8 @@ impl CoarseIndex {
             partitioning,
             medoid_index,
             medoid_to_partition,
-            extra_medoids: Vec::new(),
             build,
         }
-    }
-
-    /// Appends ranking `id` — the incremental insert path. Joins the
-    /// nearest partition whose medoid lies within `θ_C` (ties to the
-    /// lowest partition index), or opens a fresh single-member partition
-    /// with `id` as an overlay medoid. Either way the radius invariant
-    /// behind Lemma 1 is preserved, so query results stay exact.
-    pub fn insert(&mut self, store: &RankingStore, id: RankingId) {
-        let pairs = store.sorted_pairs(id);
-        let k = store.k();
-        let mut best: Option<(usize, u32)> = None;
-        for (pi, p) in self.partitioning.partitions().iter().enumerate() {
-            let d = footrule_pairs(pairs, store.sorted_pairs(p.medoid), k);
-            if d <= self.theta_c_raw && best.map(|(_, bd)| d < bd).unwrap_or(true) {
-                best = Some((pi, d));
-            }
-        }
-        if id.index() >= self.medoid_to_partition.len() {
-            self.medoid_to_partition.resize(store.len(), u32::MAX);
-        }
-        match best {
-            Some((pi, _)) => self.partitioning.insert_member(store, pi, id),
-            None => {
-                let pi = self.partitioning.push_partition(id) as u32;
-                self.extra_medoids.push((id, pi));
-                self.medoid_to_partition[id.index()] = pi;
-            }
-        }
-    }
-
-    /// Number of overlay medoids awaiting the next rebuild.
-    pub fn extra_medoid_len(&self) -> usize {
-        self.extra_medoids.len()
     }
 
     /// The partitioning radius in raw Footrule units.
@@ -239,18 +214,6 @@ impl CoarseIndex {
                 .map(|&(medoid, d)| (self.medoid_to_partition[medoid.index()], d)),
         );
         scratch.hits = hits;
-        // Overlay medoids (partitions opened since the build) are not in
-        // the CSR index: scan them linearly against the relaxed bound.
-        if !self.extra_medoids.is_empty() {
-            query_pairs_into(query, &mut scratch.qp);
-            for &(m, pi) in &self.extra_medoids {
-                stats.count_distance();
-                let d = footrule_pairs(&scratch.qp, store.sorted_pairs(m), store.k());
-                if d <= relaxed {
-                    out.push((pi, d));
-                }
-            }
-        }
     }
 
     /// **Validation phase** (Algorithm 1, lines 2–4): runs the original
@@ -363,46 +326,45 @@ impl CoarseIndex {
         self.partitioning.heap_bytes()
             + self.medoid_index.heap_bytes()
             + self.medoid_to_partition.capacity() * std::mem::size_of::<u32>()
-            + self.extra_medoids.capacity() * std::mem::size_of::<(RankingId, u32)>()
     }
 
-    /// Decomposes the index into its flat persistence form (overlay
-    /// medoids split into id/partition planes).
+    /// Decomposes the index into its flat persistence form.
     pub(crate) fn export_parts(&self) -> CoarseIndexParts {
         CoarseIndexParts {
             theta_c_raw: self.theta_c_raw,
             partitioning: self.partitioning.export_parts(),
             medoid_index: self.medoid_index.export_parts(),
-            medoid_to_partition: self.medoid_to_partition.clone(),
-            extra_medoid_ids: self.extra_medoids.iter().map(|&(m, _)| m.0).collect(),
-            extra_medoid_partitions: self.extra_medoids.iter().map(|&(_, pi)| pi).collect(),
         }
     }
 
     /// Rebuilds the index from its flat persistence form against the
-    /// corpus remap (build statistics reset; partition count recomputed).
+    /// corpus remap and the store's id space (build statistics reset;
+    /// partition count recomputed). The medoid table is derived from the
+    /// partitioning, and the medoid index must hold exactly the partition
+    /// medoids: each one indexed, and no posting naming a ranking that is
+    /// no medoid.
     pub(crate) fn from_parts(
         parts: CoarseIndexParts,
         remap: Arc<ItemRemap>,
+        id_space: usize,
     ) -> Result<Self, String> {
         let partitioning = Partitioning::from_parts(parts.partitioning)?;
+        let medoid_to_partition = medoid_map(&partitioning, id_space)?;
+        let mut posted = vec![false; partitioning.num_partitions()];
+        for &id in &parts.medoid_index.postings {
+            match medoid_to_partition.get(id as usize) {
+                Some(&pi) if pi != u32::MAX => posted[pi as usize] = true,
+                _ => {
+                    return Err(format!(
+                        "medoid index posts ranking {id}, which is no medoid"
+                    ))
+                }
+            }
+        }
+        if let Some(pi) = posted.iter().position(|&p| !p) {
+            return Err(format!("the medoid of partition {pi} has no posting"));
+        }
         let medoid_index = PlainInvertedIndex::from_parts(parts.medoid_index, remap)?;
-        let np = partitioning.num_partitions() as u32;
-        if let Some(&bad) = parts
-            .medoid_to_partition
-            .iter()
-            .find(|&&pi| pi != u32::MAX && pi >= np)
-        {
-            return Err(format!("medoid maps to out-of-range partition {bad}"));
-        }
-        if parts.extra_medoid_ids.len() != parts.extra_medoid_partitions.len() {
-            return Err("overlay medoid planes disagree in length".into());
-        }
-        if let Some(&bad) = parts.extra_medoid_partitions.iter().find(|&&pi| pi >= np) {
-            return Err(format!(
-                "overlay medoid maps to out-of-range partition {bad}"
-            ));
-        }
         let build = CoarseBuildStats {
             distance_calls: 0,
             num_partitions: partitioning.num_partitions(),
@@ -411,13 +373,7 @@ impl CoarseIndex {
             theta_c_raw: parts.theta_c_raw,
             partitioning,
             medoid_index,
-            medoid_to_partition: parts.medoid_to_partition,
-            extra_medoids: parts
-                .extra_medoid_ids
-                .into_iter()
-                .map(RankingId)
-                .zip(parts.extra_medoid_partitions)
-                .collect(),
+            medoid_to_partition,
             build,
         })
     }
@@ -429,9 +385,6 @@ pub(crate) struct CoarseIndexParts {
     pub theta_c_raw: u32,
     pub partitioning: ranksim_metricspace::PartitioningParts,
     pub medoid_index: ranksim_invindex::PlainIndexParts,
-    pub medoid_to_partition: Vec<u32>,
-    pub extra_medoid_ids: Vec<u32>,
-    pub extra_medoid_partitions: Vec<u32>,
 }
 
 /// [`QueryExecutor`] running the coarse hybrid path (`Coarse` or, with
@@ -541,57 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_inserts_and_tombstones_stay_exact() {
-        // The append/tombstone path of the coarse index: post-build
-        // inserts join covering partitions or open overlay-medoid
-        // partitions, removals tombstone members and medoids alike, and
-        // every query keeps matching the live-corpus linear scan — at
-        // feasible thresholds (CSR + overlay scan) and through the
-        // medoid-scan fallback.
-        let ds = nyt_like(800, 10, 31);
-        let mut store = ds.store;
-        let mut index = CoarseIndex::build(&store, raw_threshold(0.3, 10));
-        let base_partitions = index.num_partitions();
-        // Near-duplicates (join partitions) and far-out rankings (open
-        // overlay partitions).
-        for i in 0..60u32 {
-            let id = if i % 2 == 0 {
-                let donor = RankingId(i);
-                let mut items: Vec<ItemId> = store.items(donor).to_vec();
-                items.swap(0, 9);
-                store.push_items_unchecked(&items)
-            } else {
-                let base = 1_000_000 + i * 10;
-                let items: Vec<ItemId> = (0..10).map(|j| ItemId(base + j)).collect();
-                store.push_items_unchecked(&items)
-            };
-            index.insert(&store, id);
-        }
-        assert!(index.extra_medoid_len() > 0, "far inserts open partitions");
-        assert!(index.num_partitions() >= base_partitions);
-        // Tombstone old members, a likely medoid, and a fresh insert.
-        for v in [0u32, 5, 17, 801, 803] {
-            assert!(store.remove(RankingId(v)));
-        }
-        let mut scratch = QueryScratch::new();
-        for qid in [2u32, 444, 805, 859] {
-            let q: Vec<ItemId> = store.items(RankingId(qid)).to_vec();
-            let qp = query_pairs(&q);
-            for theta in [0.0, 0.15, 0.3, 0.6] {
-                let raw = raw_threshold(theta, 10);
-                let mut s1 = QueryStats::new();
-                let mut s2 = QueryStats::new();
-                let mut expect = linear_scan(&store, &qp, raw, &mut s1);
-                let mut got = Vec::new();
-                index.query_into(&store, &q, raw, false, &mut scratch, &mut s2, &mut got);
-                expect.sort_unstable();
-                got.sort_unstable();
-                assert_eq!(got, expect, "qid={qid} θ={theta}");
-            }
-        }
-    }
-
-    #[test]
     fn theta_c_zero_degenerates_to_plain_fv() {
         // Every non-duplicate ranking becomes its own medoid.
         let ds = nyt_like(500, 10, 5);
@@ -642,6 +544,42 @@ mod tests {
             let truth = footrule_pairs(&qp, ds.store.sorted_pairs(medoid), 10);
             assert_eq!(d, truth);
         }
+    }
+
+    #[test]
+    fn from_parts_rejects_a_medoid_index_that_is_not_the_medoids() {
+        // The file loader is outside input: a tampered medoid index must
+        // be an `Err`, never a query that reads partition `u32::MAX`.
+        let ds = nyt_like(400, 10, 17);
+        let remap = Arc::new(ItemRemap::build(&ds.store));
+        let index = CoarseIndex::build_with_remap(&ds.store, remap.clone(), raw_threshold(0.3, 10));
+        let parts = index.export_parts();
+        assert!(CoarseIndex::from_parts(parts.clone(), remap.clone(), 400).is_ok());
+        // A partitioning whose medoids lie past the store.
+        assert!(CoarseIndex::from_parts(parts.clone(), remap.clone(), 10).is_err());
+        let medoids: Vec<u32> = index.partitioning().medoids().map(|m| m.0).collect();
+        let non_medoid = (0..400u32).find(|id| !medoids.contains(id)).unwrap();
+        // A posting naming a ranking that heads no partition, one past
+        // every table, and a medoid index missing a medoid.
+        for forged in [non_medoid, u32::MAX - 1] {
+            let mut bad = parts.clone();
+            bad.medoid_index.postings[0] = forged;
+            assert!(
+                CoarseIndex::from_parts(bad, remap.clone(), 400).is_err(),
+                "posting {forged} accepted"
+            );
+        }
+        let mut subset = medoids.clone();
+        subset.sort_unstable();
+        subset.pop();
+        let mut bad = parts.clone();
+        bad.medoid_index = PlainInvertedIndex::build_with_remap(
+            &ds.store,
+            remap.clone(),
+            subset.into_iter().map(RankingId),
+        )
+        .export_parts();
+        assert!(CoarseIndex::from_parts(bad, remap, 400).is_err());
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! `u' = (u − 1)(1 − P)` whose iteration count is
 //! [`expected_medoids`]. Both estimates agree in the paper's large-package
 //! regime (validated by a unit test); the recurrence stays sane everywhere
-//! and is what [`crate::CostModel`] uses. [`expected_medoids_eq2`] is the
-//! paper's formula, verbatim, for comparison.
+//! and is what [`crate::CostModel`] uses. The tests compare it with the
+//! paper's Equation 2, kept verbatim there as the reference.
 
 /// Equation 1: expected draws to advance from the `i`-th to the
 /// `(i+1)`-th distinct coupon with package size `p`.
@@ -36,17 +36,6 @@ pub fn h(n: usize, i: usize, p: usize) -> f64 {
     } else {
         (n - (i % p)) as f64 / (n - i) as f64
     }
-}
-
-/// Equation 2 verbatim: expected medoids by the batched coupon collector,
-/// clamped to the physically possible `[1, n]`.
-pub fn expected_medoids_eq2(n: usize, p_capture: f64) -> f64 {
-    if n == 0 {
-        return 0.0;
-    }
-    let p = ((p_capture * n as f64).round() as usize).clamp(1, n);
-    let sum: f64 = (0..n).map(|i| h(n, i, p)).sum();
-    (sum / p as f64).clamp(1.0, n as f64)
 }
 
 /// Expected medoids via the unassigned-mass recurrence `u' = (u−1)(1−P)`
@@ -72,6 +61,18 @@ pub fn expected_medoids(n: usize, p_capture: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Equation 2 verbatim: expected medoids by the batched coupon
+    /// collector, clamped to the physically possible `[1, n]` — the
+    /// paper's estimate the recurrence is checked against.
+    fn expected_medoids_eq2(n: usize, p_capture: f64) -> f64 {
+        if n == 0 {
+            return 0.0;
+        }
+        let p = ((p_capture * n as f64).round() as usize).clamp(1, n);
+        let sum: f64 = (0..n).map(|i| h(n, i, p)).sum();
+        (sum / p as f64).clamp(1.0, n as f64)
+    }
 
     #[test]
     fn full_capture_gives_one_medoid() {

@@ -99,14 +99,14 @@ impl CostModel {
 
     /// Expected distinct items `E[v′]` among `m` medoids (Eq. 6):
     /// `v (1 − (1 − k/v)^M)`.
-    pub fn expected_distinct_items(&self, m: f64) -> f64 {
+    fn expected_distinct_items(&self, m: f64) -> f64 {
         let ratio = (1.0 - self.k as f64 / self.v).max(0.0);
         (self.v * (1.0 - ratio.powf(m))).max(1.0)
     }
 
     /// Expected medoid-index list length (Eq. 5):
     /// `Σ_i M · f(i; s, v′)² = M · H_{v′,2s} / H_{v′,s}²`.
-    pub fn expected_list_len(&self, m: f64) -> f64 {
+    fn expected_list_len(&self, m: f64) -> f64 {
         let v_prime = self.expected_distinct_items(m).round().max(1.0) as u64;
         let h_s = generalized_harmonic(v_prime, self.s);
         let h_2s = generalized_harmonic(v_prime, 2.0 * self.s);

@@ -40,7 +40,7 @@ use ranksim_adaptsearch::{
 use ranksim_invindex::{
     AugmentedIndexParts, AugmentedInvertedIndex, BlockedIndexParts, BlockedInvertedIndex,
     BlockedPruneExecutor, FvDropExecutor, FvExecutor, ListMergeExecutor, PlainIndexParts,
-    PlainInvertedIndex, PostingOrder,
+    PlainInvertedIndex,
 };
 use ranksim_metricspace::{query_pairs_into, KnnHeap};
 use ranksim_rankings::{
@@ -243,10 +243,6 @@ struct EngineConfig {
     /// Auto-compaction trigger: compact once base tombstones exceed this
     /// fraction of the base live size (`f64::INFINITY` disables).
     compact_tombstone_fraction: f64,
-    /// Build-time ordering of the CSR posting slices (see
-    /// [`PostingOrder`]; default [`PostingOrder::Id`], the classic
-    /// layout — `SuffixBound` enables threshold-window scans).
-    posting_order: PostingOrder,
 }
 
 /// Builder for [`Engine`].
@@ -266,19 +262,8 @@ impl EngineBuilder {
                 selected: None,
                 calibrated: None,
                 compact_tombstone_fraction: 0.5,
-                posting_order: PostingOrder::default(),
             },
         }
-    }
-
-    /// Selects the build-time ordering of the CSR posting slices (default
-    /// [`PostingOrder::Id`], the classic layout). `SuffixBound` sorts
-    /// each per-item slice by `(rank, id)` so scans window to the
-    /// `|rank − q_rank| ≤ θ` band; result sets are bit-identical, only
-    /// the scan counters differ.
-    pub fn posting_order(mut self, order: PostingOrder) -> Self {
-        self.config.posting_order = order;
-        self
     }
 
     /// Tombstone fraction of the base corpus at which a removal triggers
@@ -312,8 +297,9 @@ impl EngineBuilder {
     }
 
     /// Restricts construction to the index structures the given
-    /// algorithms need (single-algorithm benches skip the other builds
-    /// entirely); [`EngineBuilder::build`] without this call keeps the
+    /// algorithms need (a single-algorithm engine, such as the serve
+    /// tests' F&V engine or a restricted planner sweep, skips the other
+    /// builds entirely); [`EngineBuilder::build`] without this call keeps the
     /// build-everything default, which also arms the planner with all
     /// eight techniques.
     ///
@@ -401,25 +387,20 @@ fn build_parts(store: &RankingStore, config: &EngineConfig, remap: Arc<ItemRemap
         }
     };
     let want = |a: Algorithm| candidates.contains(&a);
-    let order = config.posting_order;
     let plain = (want(Algorithm::Fv) || want(Algorithm::FvDrop)).then(|| {
-        Arc::new(PlainInvertedIndex::build_with_remap_ordered(
+        Arc::new(PlainInvertedIndex::build_with_remap(
             store,
             remap.clone(),
             store.live_ids(),
-            order,
         ))
     });
     let augmented = want(Algorithm::ListMerge).then(|| {
-        Arc::new(AugmentedInvertedIndex::build_with_remap_ordered(
+        Arc::new(AugmentedInvertedIndex::build_with_remap(
             store,
             remap.clone(),
             store.live_ids(),
-            order,
         ))
     });
-    // The blocked layout is already rank-major by construction; the
-    // posting order applies to the flat CSR layouts only.
     let blocked = (want(Algorithm::BlockedPrune) || want(Algorithm::BlockedPruneDrop)).then(|| {
         Arc::new(BlockedInvertedIndex::build_with_remap(
             store,
@@ -428,11 +409,10 @@ fn build_parts(store: &RankingStore, config: &EngineConfig, remap: Arc<ItemRemap
         ))
     });
     let adapt = want(Algorithm::AdaptSearch).then(|| {
-        Arc::new(AdaptSearchIndex::build_with_remap_ordered(
+        Arc::new(AdaptSearchIndex::build_with_remap(
             store,
             remap.clone(),
             AdaptCostParams::default(),
-            order,
         ))
     });
     let coarse_theta = raw_threshold(config.coarse_theta_c, k);
@@ -472,7 +452,6 @@ fn build_parts(store: &RankingStore, config: &EngineConfig, remap: Arc<ItemRemap
             costs,
             coarse_theta,
             drop_theta,
-            config.posting_order,
         )
     });
 
@@ -544,8 +523,6 @@ pub(crate) struct EngineConfigParts {
     pub selected: Option<Vec<u32>>,
     pub calibrated: Option<(f64, f64)>,
     pub compact_tombstone_fraction: f64,
-    /// [`PostingOrder::to_tag`] of the configured posting order.
-    pub posting_order: u32,
 }
 
 /// Sentinel slot encoding [`Algorithm::Auto`] in a persisted candidate
@@ -644,11 +621,6 @@ impl Engine {
         self.planner.as_ref()
     }
 
-    /// The configured CSR posting-slice ordering.
-    pub fn posting_order(&self) -> PostingOrder {
-        self.config.posting_order
-    }
-
     /// The executor registered for a concrete algorithm. Panics with the
     /// same diagnostic the old enum dispatch produced when the backing
     /// index was not built.
@@ -725,7 +697,6 @@ impl Engine {
                     .calibrated
                     .map(|c| (c.footrule_ns, c.merge_posting_ns)),
                 compact_tombstone_fraction: self.config.compact_tombstone_fraction,
-                posting_order: self.config.posting_order.to_tag(),
             },
             plain: self.plain.as_ref().map(|i| i.export_parts()),
             augmented: self.augmented.as_ref().map(|i| i.export_parts()),
@@ -791,21 +762,20 @@ impl Engine {
             .map(Arc::new);
         let coarse = parts
             .coarse
-            .map(|p| CoarseIndex::from_parts(p, remap.clone()))
+            .map(|p| CoarseIndex::from_parts(p, remap.clone(), store.len()))
             .transpose()?
             .map(Arc::new);
         let coarse_drop = parts
             .coarse_drop
-            .map(|p| CoarseIndex::from_parts(p, remap.clone()))
+            .map(|p| CoarseIndex::from_parts(p, remap.clone(), store.len()))
             .transpose()?
             .map(Arc::new);
         if let Some(s) = &parts.planner {
             check_k(s.k, "planner")?;
         }
-        let posting_order = PostingOrder::from_tag(parts.config.posting_order)?;
         let planner = parts
             .planner
-            .map(|s| Planner::from_saved(s, remap.clone(), posting_order))
+            .map(|s| Planner::from_saved(s, remap.clone()))
             .transpose()?;
         let decode_alg = |slot: u32| -> Result<Algorithm, String> {
             if slot == AUTO_SLOT {
@@ -828,7 +798,6 @@ impl Engine {
                 merge_posting_ns: m,
             }),
             compact_tombstone_fraction: parts.config.compact_tombstone_fraction,
-            posting_order,
         };
         // The mutation overlay must describe this store exactly: the
         // position table spans the id space, every delta entry is a live

@@ -53,7 +53,7 @@ use crate::planner::PlannerSaved;
 use crate::shard::{ShardConfigParts, ShardedEngine, ShardedPersistParts};
 use crate::wal::{crc32, WalError};
 use ranksim_adaptsearch::{AdaptCostParams, AdaptIndexParts};
-use ranksim_invindex::{AugmentedIndexParts, BlockedIndexParts, PlainIndexParts, PostingOrder};
+use ranksim_invindex::{AugmentedIndexParts, BlockedIndexParts, PlainIndexParts};
 use ranksim_metricspace::{BkTreeParts, PartitioningParts};
 use ranksim_rankings::{RankingId, RemapParts, StoreParts};
 
@@ -62,8 +62,12 @@ pub const MAGIC: [u8; 4] = *b"RSSN";
 /// Current container format version; every other version is refused
 /// (v3 dropped the top-k tree section and its two build flags; v4
 /// dropped the kernel tag and the planner refresh budget from the
-/// engine META and the shard manifest).
-pub const FORMAT_VERSION: u32 = 4;
+/// engine META and the shard manifest; v5 dropped the posting-order tag
+/// from META, the manifest and each index section, the rank planes of
+/// the plain and AdaptSearch sections, the coarse sections'
+/// `medoid_to_partition` and overlay-medoid arrays, and the planner's
+/// skip-rate cells).
+pub const FORMAT_VERSION: u32 = 5;
 
 const HEADER_LEN: usize = 16;
 const ENTRY_LEN: usize = 32;
@@ -670,7 +674,6 @@ fn enc_meta(meta: SnapshotMeta, cfg: &EngineConfigParts) -> Vec<u8> {
     put_f64(&mut out, ca);
     put_f64(&mut out, cb);
     put_f64(&mut out, cfg.compact_tombstone_fraction);
-    put_u32w(&mut out, cfg.posting_order);
     out
 }
 
@@ -689,7 +692,6 @@ fn dec_meta(payload: &[u8]) -> Result<(SnapshotMeta, EngineConfigParts), Persist
     let ca = c.f64()?;
     let cb = c.f64()?;
     let compact_tombstone_fraction = c.f64()?;
-    let posting_order = c.u32w()?;
     c.finish()?;
     Ok((
         meta,
@@ -699,7 +701,6 @@ fn dec_meta(payload: &[u8]) -> Result<(SnapshotMeta, EngineConfigParts), Persist
             selected: has_selected.then_some(selected),
             calibrated: has_calibrated.then_some((ca, cb)),
             compact_tombstone_fraction,
-            posting_order,
         },
     ))
 }
@@ -757,23 +758,16 @@ fn enc_plain(p: &PlainIndexParts) -> Vec<u8> {
 fn enc_plain_into(out: &mut Vec<u8>, p: &PlainIndexParts) {
     put_u32w(out, p.k);
     put_u32w(out, p.indexed);
-    put_u32w(out, p.order.to_tag());
     put_u32_arr(out, &p.offsets);
     put_u32_arr(out, &p.postings);
-    put_u32_arr(out, &p.ranks);
 }
 
 fn dec_plain_from(c: &mut Cur<'_>) -> Result<PlainIndexParts, PersistError> {
-    let k = c.u32w()?;
-    let indexed = c.u32w()?;
-    let order = PostingOrder::from_tag(c.u32w()?).map_err(|d| c.corrupt(d))?;
     Ok(PlainIndexParts {
-        k,
-        indexed,
-        order,
+        k: c.u32w()?,
+        indexed: c.u32w()?,
         offsets: c.u32_arr()?,
         postings: c.u32_arr()?,
-        ranks: c.u32_arr()?,
     })
 }
 
@@ -788,7 +782,6 @@ fn enc_augmented(p: &AugmentedIndexParts) -> Vec<u8> {
     let mut out = Vec::new();
     put_u32w(&mut out, p.k);
     put_u32w(&mut out, p.indexed);
-    put_u32w(&mut out, p.order.to_tag());
     put_u32_arr(&mut out, &p.offsets);
     put_u32_arr(&mut out, &p.ids);
     put_u32_arr(&mut out, &p.ranks);
@@ -797,13 +790,9 @@ fn enc_augmented(p: &AugmentedIndexParts) -> Vec<u8> {
 
 fn dec_augmented(payload: &[u8]) -> Result<AugmentedIndexParts, PersistError> {
     let mut c = Cur::new(payload, "augmented");
-    let k = c.u32w()?;
-    let indexed = c.u32w()?;
-    let order = PostingOrder::from_tag(c.u32w()?).map_err(|d| c.corrupt(d))?;
     let p = AugmentedIndexParts {
-        k,
-        indexed,
-        order,
+        k: c.u32w()?,
+        indexed: c.u32w()?,
         offsets: c.u32_arr()?,
         ids: c.u32_arr()?,
         ranks: c.u32_arr()?,
@@ -839,11 +828,9 @@ fn enc_adapt(p: &AdaptIndexParts) -> Vec<u8> {
     put_u32w(&mut out, p.indexed);
     put_f64(&mut out, p.params.posting_cost);
     put_f64(&mut out, p.params.candidate_cost);
-    put_u32w(&mut out, p.order.to_tag());
     put_u32_arr(&mut out, &p.freq);
     put_u32_arr(&mut out, &p.pos_offsets);
     put_u32_arr(&mut out, &p.ids);
-    put_u32_arr(&mut out, &p.ranks);
     out
 }
 
@@ -855,16 +842,13 @@ fn dec_adapt(payload: &[u8]) -> Result<AdaptIndexParts, PersistError> {
         posting_cost: c.f64()?,
         candidate_cost: c.f64()?,
     };
-    let order = PostingOrder::from_tag(c.u32w()?).map_err(|d| c.corrupt(d))?;
     let p = AdaptIndexParts {
         k,
         indexed,
         params,
-        order,
         freq: c.u32_arr()?,
         pos_offsets: c.u32_arr()?,
         ids: c.u32_arr()?,
-        ranks: c.u32_arr()?,
     };
     c.finish()?;
     Ok(p)
@@ -947,9 +931,6 @@ fn enc_coarse(p: &CoarseIndexParts) -> Vec<u8> {
     put_u32w(&mut out, p.theta_c_raw);
     enc_partitioning_into(&mut out, &p.partitioning);
     enc_plain_into(&mut out, &p.medoid_index);
-    put_u32_arr(&mut out, &p.medoid_to_partition);
-    put_u32_arr(&mut out, &p.extra_medoid_ids);
-    put_u32_arr(&mut out, &p.extra_medoid_partitions);
     out
 }
 
@@ -959,9 +940,6 @@ fn dec_coarse(payload: &[u8], section: &'static str) -> Result<CoarseIndexParts,
         theta_c_raw: c.u32w()?,
         partitioning: dec_partitioning_from(&mut c)?,
         medoid_index: dec_plain_from(&mut c)?,
-        medoid_to_partition: c.u32_arr()?,
-        extra_medoid_ids: c.u32_arr()?,
-        extra_medoid_partitions: c.u32_arr()?,
     };
     c.finish()?;
     Ok(p)
@@ -990,7 +968,6 @@ fn enc_planner(p: &PlannerSaved) -> Vec<u8> {
     put_u64_arr(&mut out, &p.explored);
     put_u64_arr(&mut out, &p.incumbent);
     put_u64_arr(&mut out, &p.pruned_rates);
-    put_u64_arr(&mut out, &p.skip_rates);
     out
 }
 
@@ -1018,7 +995,6 @@ fn dec_planner(payload: &[u8]) -> Result<PlannerSaved, PersistError> {
         explored: c.u64_arr()?,
         incumbent: c.u64_arr()?,
         pruned_rates: c.u64_arr()?,
-        skip_rates: c.u64_arr()?,
     };
     c.finish()?;
     Ok(p)
@@ -1152,7 +1128,6 @@ fn enc_manifest(p: &ShardedPersistParts) -> Vec<u8> {
     put_f64(&mut out, cb);
     put_bool(&mut out, cfg.compact_tombstone_fraction.is_some());
     put_f64(&mut out, cfg.compact_tombstone_fraction.unwrap_or(0.0));
-    put_u32w(&mut out, cfg.posting_order);
     put_f64(&mut out, cfg.rebalance_skew_factor);
     put_u64(&mut out, cfg.rebalance_min_gap);
     put_bool(&mut out, cfg.rebalance_auto);
@@ -1186,7 +1161,6 @@ fn dec_manifest(payload: &[u8]) -> Result<ShardedPersistParts, PersistError> {
     let cb = c.f64()?;
     let has_compact = c.boolean()?;
     let compact = c.f64()?;
-    let posting_order = c.u32w()?;
     let rebalance_skew_factor = c.f64()?;
     let rebalance_min_gap = c.u64()?;
     let rebalance_auto = c.boolean()?;
@@ -1217,7 +1191,6 @@ fn dec_manifest(payload: &[u8]) -> Result<ShardedPersistParts, PersistError> {
             selected: has_selected.then_some(selected),
             calibrated: has_calibrated.then_some((ca, cb)),
             compact_tombstone_fraction: has_compact.then_some(compact),
-            posting_order,
             rebalance_skew_factor,
             rebalance_min_gap,
             rebalance_auto,

@@ -39,7 +39,6 @@ use crate::cost::calibrate::CalibratedCosts;
 use crate::cost::model::CostModel;
 use crate::engine::{Algorithm, QueryTrace};
 use ranksim_invindex::drop::omega;
-use ranksim_invindex::PostingOrder;
 use ranksim_rankings::{max_distance, ExecStats, ItemId, ItemRemap, QueryScratch, RankingStore};
 
 /// Number of θ ranges with independent recalibration state. Raw
@@ -111,14 +110,6 @@ const PER_ITEM_OVERHEAD_POSTINGS: f64 = 12.0;
 /// primitive (three epoch-cell updates per posting instead of one mark).
 /// A prior only — the recalibration loop refines it online.
 const LISTMERGE_POSTING_FACTOR: f64 = 3.0;
-/// ListMerge locality penalty under [`PostingOrder::SuffixBound`]:
-/// suffix-bound postings are no longer id-sorted, so ListMerge's
-/// counter-merge loses its sequential epoch-cell access pattern —
-/// measured at ~0.90× throughput at loose θ (see `docs/perf.md`,
-/// "Posting order"). The prior prices that regression in so `Auto` on a
-/// suffix-bound engine stops preferring a measurably regressing arm;
-/// the recalibration loop refines it online like every other factor.
-const LISTMERGE_SUFFIX_BOUND_PENALTY: f64 = 1.0 / 0.90;
 /// Per-posting work of the blocked scans (rank-block bookkeeping + NRA
 /// bound updates). Prior, refined online.
 const BLOCKED_POSTING_FACTOR: f64 = 2.0;
@@ -233,19 +224,6 @@ fn fill_coarse_table(
     }
 }
 
-/// The ListMerge cost multiplier for one posting order (see
-/// [`LISTMERGE_SUFFIX_BOUND_PENALTY`]). Only ListMerge's tight
-/// counter-merge loop is locality-bound enough to price the ordering:
-/// the windowed scans (blocked, suffix-bound early exits) are exactly
-/// what the ordering *helps*, already captured by their learned skip
-/// rates.
-fn listmerge_scale(order: PostingOrder) -> f64 {
-    match order {
-        PostingOrder::SuffixBound => LISTMERGE_SUFFIX_BOUND_PENALTY,
-        _ => 1.0,
-    }
-}
-
 /// The per-engine query planner (one per shard in a sharded engine —
 /// shards differ in size and distribution, so the same query may
 /// legitimately take different paths on different shards).
@@ -284,11 +262,6 @@ pub struct Planner {
     /// proportionally cheaper, and the model should predict that instead
     /// of waiting for the wall-time levels to discover it.
     pruned_rates: Vec<AtomicU64>,
-    /// EWMA of the posting-window skip rate per cell
-    /// (`postings_skipped / (entries_scanned + postings_skipped)`, f64
-    /// bits in `[0, 1]`); discounts the scan terms of suffix-bound
-    /// ordered arms the same way.
-    skip_rates: Vec<AtomicU64>,
     /// Per-bucket exploration cursors: while below
     /// `candidates.len() · EXPLORE_ROUNDS`, planning round-robins the
     /// candidate set to seed every correction cell.
@@ -306,23 +279,13 @@ pub struct Planner {
     /// Mutations applied since the last full statistics refresh (the
     /// distance-CDF refresh budget counts these).
     pending_mutations: usize,
-    /// ListMerge cost multiplier derived from the engine's
-    /// [`PostingOrder`]: [`LISTMERGE_SUFFIX_BOUND_PENALTY`] under
-    /// `SuffixBound` (its non-id-sorted postings break ListMerge's
-    /// sequential counter-merge locality), `1.0` otherwise. Derived
-    /// configuration, not learned state — it is re-derived from the
-    /// engine config on snapshot reload instead of being persisted.
-    listmerge_scale: f64,
 }
 
 impl Planner {
     /// Builds the planner for a corpus: samples the distance CDF,
     /// estimates the Zipf skew, reads per-item posting lengths off the
     /// corpus, and precomputes the θ-indexed coarse cost tables for the
-    /// engine's actual `θ_C` settings. `posting_order` is the engine's
-    /// CSR posting-slice ordering — an input to the ListMerge cost term,
-    /// which loses its sequential-scan locality under non-id-sorted
-    /// postings (see [`LISTMERGE_SUFFIX_BOUND_PENALTY`]).
+    /// engine's actual `θ_C` settings.
     pub fn build(
         store: &RankingStore,
         remap: Arc<ItemRemap>,
@@ -330,7 +293,6 @@ impl Planner {
         costs: CalibratedCosts,
         coarse_theta_c_raw: u32,
         coarse_drop_theta_c_raw: u32,
-        posting_order: PostingOrder,
     ) -> Self {
         assert!(
             !candidates.is_empty(),
@@ -361,7 +323,6 @@ impl Planner {
         let wall_means = cells(0.0);
         let raw_means = cells(0.0);
         let pruned_rates = cells(0.0);
-        let skip_rates = cells(0.0);
         let observations: Vec<AtomicU64> = (0..Algorithm::COUNT * THETA_BUCKETS)
             .map(|_| AtomicU64::new(0))
             .collect();
@@ -383,7 +344,6 @@ impl Planner {
                 raw_means,
                 observations,
                 pruned_rates,
-                skip_rates,
                 explored,
                 incumbent,
                 zipf_s: 0.0,
@@ -391,7 +351,6 @@ impl Planner {
                 coarse_theta_c_raw,
                 coarse_drop_theta_c_raw,
                 pending_mutations: 0,
-                listmerge_scale: listmerge_scale(posting_order),
             };
         }
         // CDF sample size scales with the corpus but stays bounded; the
@@ -436,7 +395,6 @@ impl Planner {
             raw_means,
             observations,
             pruned_rates,
-            skip_rates,
             explored,
             incumbent,
             zipf_s: model.zipf_s(),
@@ -444,7 +402,6 @@ impl Planner {
             coarse_theta_c_raw,
             coarse_drop_theta_c_raw,
             pending_mutations: 0,
-            listmerge_scale: listmerge_scale(posting_order),
         }
     }
 
@@ -475,7 +432,6 @@ impl Planner {
             raw_means: copy_cells(&self.raw_means),
             observations: copy_cells(&self.observations),
             pruned_rates: copy_cells(&self.pruned_rates),
-            skip_rates: copy_cells(&self.skip_rates),
             explored: copy_cells(&self.explored),
             incumbent: copy_cells(&self.incumbent),
             zipf_s: self.zipf_s,
@@ -483,7 +439,6 @@ impl Planner {
             coarse_theta_c_raw: self.coarse_theta_c_raw,
             coarse_drop_theta_c_raw: self.coarse_drop_theta_c_raw,
             pending_mutations: self.pending_mutations,
-            listmerge_scale: self.listmerge_scale,
         }
     }
 
@@ -518,7 +473,6 @@ impl Planner {
             raw_means: copy_cells(&self.raw_means),
             observations: copy_cells(&self.observations),
             pruned_rates: copy_cells(&self.pruned_rates),
-            skip_rates: copy_cells(&self.skip_rates),
             explored: copy_cells(&self.explored),
             incumbent: copy_cells(&self.incumbent),
         }
@@ -530,14 +484,7 @@ impl Planner {
     /// a restarted engine plans warm: buckets that finished exploring
     /// serve the incumbent fast path immediately instead of re-running
     /// the forced exploration rounds.
-    /// `posting_order` is re-derived from the engine's (separately
-    /// persisted) config rather than stored in [`PlannerSaved`]: it is
-    /// configuration, and deriving it keeps the snapshot format stable.
-    pub(crate) fn from_saved(
-        saved: PlannerSaved,
-        remap: Arc<ItemRemap>,
-        posting_order: PostingOrder,
-    ) -> Result<Self, String> {
+    pub(crate) fn from_saved(saved: PlannerSaved, remap: Arc<ItemRemap>) -> Result<Self, String> {
         let k = saved.k as usize;
         if k == 0 {
             return Err("planner k must be positive".into());
@@ -579,7 +526,6 @@ impl Planner {
             || saved.raw_means.len() != cells
             || saved.observations.len() != cells
             || saved.pruned_rates.len() != cells
-            || saved.skip_rates.len() != cells
         {
             return Err(format!(
                 "planner level tables must hold {cells} cells (8 algorithms × {THETA_BUCKETS} \
@@ -618,7 +564,6 @@ impl Planner {
             raw_means: restore(saved.raw_means),
             observations: restore(saved.observations),
             pruned_rates: restore(saved.pruned_rates),
-            skip_rates: restore(saved.skip_rates),
             explored: restore(saved.explored),
             incumbent: restore(saved.incumbent),
             zipf_s: saved.zipf_s,
@@ -626,7 +571,6 @@ impl Planner {
             coarse_theta_c_raw: saved.coarse_theta_c_raw,
             coarse_drop_theta_c_raw: saved.coarse_drop_theta_c_raw,
             pending_mutations: saved.pending_mutations as usize,
-            listmerge_scale: listmerge_scale(posting_order),
         })
     }
 
@@ -737,7 +681,7 @@ impl Planner {
     }
 
     /// The θ-bucket a raw threshold falls into.
-    pub fn bucket_of(&self, theta_raw: u32) -> usize {
+    fn bucket_of(&self, theta_raw: u32) -> usize {
         ((theta_raw.min(self.d_max) as usize * THETA_BUCKETS) / (self.d_max as usize + 1))
             .min(THETA_BUCKETS - 1)
     }
@@ -755,25 +699,6 @@ impl Planner {
             wall
         } else {
             raw_q
-        }
-    }
-
-    /// The current measured-over-modeled correction of one (algorithm,
-    /// bucket) cell: `wall_mean / raw_mean` once the cell has warm
-    /// observations, 1.0 (pure model prior) before. A diagnostic of how
-    /// far reality sits from the analytical prior; clamped so it stays
-    /// finite under any observation history.
-    pub fn correction(&self, algorithm: Algorithm, bucket: usize) -> f64 {
-        let Some(slot) = algorithm.dense_index() else {
-            return 1.0;
-        };
-        let idx = slot * THETA_BUCKETS + bucket.min(THETA_BUCKETS - 1);
-        let wall = f64::from_bits(self.wall_means[idx].load(Ordering::Relaxed));
-        let raw = f64::from_bits(self.raw_means[idx].load(Ordering::Relaxed));
-        if wall > 0.0 && raw > 0.0 {
-            (wall / raw).clamp(1e-3, 1e3)
-        } else {
-            1.0
         }
     }
 
@@ -922,42 +847,6 @@ impl Planner {
         decision
     }
 
-    /// The corrected predicted cost of one candidate for `(query, θ)` —
-    /// what [`Planner::plan`] compares.
-    pub fn predicted_cost(
-        &self,
-        algorithm: Algorithm,
-        query: &[ItemId],
-        theta_raw: u32,
-        scratch: &mut QueryScratch,
-    ) -> f64 {
-        let raw = self.raw_model_cost(algorithm, query, theta_raw, scratch);
-        match algorithm.dense_index() {
-            Some(slot) => self.cell_price(slot, self.bucket_of(theta_raw), raw),
-            None => raw,
-        }
-    }
-
-    /// The *uncorrected* analytical cost (calibrated ns) — the model
-    /// prior before any online recalibration. Exposed for calibration
-    /// tests and the `repro planner` report.
-    pub fn raw_model_cost(
-        &self,
-        algorithm: Algorithm,
-        query: &[ItemId],
-        theta_raw: u32,
-        scratch: &mut QueryScratch,
-    ) -> f64 {
-        if self.degenerate {
-            return 0.0;
-        }
-        let mut freqs = std::mem::take(&mut scratch.plan_freqs);
-        self.gather(query, &mut freqs);
-        let cost = self.raw_cost(algorithm, theta_raw, &freqs);
-        scratch.plan_freqs = freqs;
-        cost
-    }
-
     /// Feeds one measured outcome back into the decision's (algorithm,
     /// bucket) level cell. Provisional observations (the cache-cold
     /// openers of an exploration/refresh run) are discarded. The first
@@ -1001,12 +890,12 @@ impl Planner {
         raw_cell.store(raw_new.to_bits(), Ordering::Relaxed);
     }
 
-    /// [`Planner::record`] plus the early-termination counters: folds the
-    /// execution's validation-pruning and posting-skip rates into the
-    /// decision cell's rate EWMAs, which [`Planner::raw_cost`] discounts
-    /// the arm's distance and scan terms by on future plans. Unlike the
-    /// wall levels, the rates are deterministic counter facts, so even
-    /// provisional (cache-cold) observations update them.
+    /// [`Planner::record`] plus the early-termination counter: folds the
+    /// execution's validation-pruning rate into the decision cell's rate
+    /// EWMA, which [`Planner::raw_cost`] discounts the arm's distance
+    /// terms by on future plans. Unlike the wall levels, the rate is a
+    /// deterministic counter fact, so even provisional (cache-cold)
+    /// observations update it.
     pub fn record_exec(&self, decision: &PlanDecision, actual_ns: f64, exec: &ExecStats) {
         self.record(decision, actual_ns);
         let Some(slot) = decision.algorithm.dense_index() else {
@@ -1018,48 +907,29 @@ impl Planner {
         } else {
             0.0
         };
-        let scan_total = exec.postings_scanned + exec.postings_skipped;
-        let skip_frac = if scan_total > 0 {
-            exec.postings_skipped as f64 / scan_total as f64
+        let pruned_frac = pruned_frac.clamp(0.0, 1.0);
+        let cell = &self.pruned_rates[idx];
+        let old = f64::from_bits(cell.load(Ordering::Relaxed));
+        // Zero bits double as "never observed": anchoring there (and
+        // whenever the rate decayed to exactly 0) costs nothing — rates
+        // are bounded in [0, 1] — and grounds the cell in one observation
+        // instead of a slow climb from the zero prior.
+        let new = if old == 0.0 {
+            pruned_frac
         } else {
-            0.0
+            old * (1.0 - ALPHA) + ALPHA * pruned_frac
         };
-        let fold = |cell: &AtomicU64, frac: f64| {
-            let frac = frac.clamp(0.0, 1.0);
-            let old = f64::from_bits(cell.load(Ordering::Relaxed));
-            // Zero bits double as "never observed": anchoring there (and
-            // whenever the rate decayed to exactly 0) costs nothing —
-            // rates are bounded in [0, 1] — and grounds the cell in one
-            // observation instead of a slow climb from the zero prior.
-            let new = if old == 0.0 {
-                frac
-            } else {
-                old * (1.0 - ALPHA) + ALPHA * frac
-            };
-            cell.store(new.to_bits(), Ordering::Relaxed);
-        };
-        fold(&self.pruned_rates[idx], pruned_frac);
-        fold(&self.skip_rates[idx], skip_frac);
+        cell.store(new.to_bits(), Ordering::Relaxed);
     }
 
     /// The learned validation-pruning rate of one (algorithm, θ-bucket)
     /// cell (0 before any observation).
-    pub fn pruned_rate(&self, algorithm: Algorithm, bucket: usize) -> f64 {
-        self.rate_cell(&self.pruned_rates, algorithm, bucket)
-    }
-
-    /// The learned posting-window skip rate of one (algorithm, θ-bucket)
-    /// cell (0 before any observation).
-    pub fn skip_rate(&self, algorithm: Algorithm, bucket: usize) -> f64 {
-        self.rate_cell(&self.skip_rates, algorithm, bucket)
-    }
-
-    fn rate_cell(&self, cells: &[AtomicU64], algorithm: Algorithm, bucket: usize) -> f64 {
+    fn pruned_rate(&self, algorithm: Algorithm, bucket: usize) -> f64 {
         let Some(slot) = algorithm.dense_index() else {
             return 0.0;
         };
         let idx = slot * THETA_BUCKETS + bucket.min(THETA_BUCKETS - 1);
-        f64::from_bits(cells[idx].load(Ordering::Relaxed)).clamp(0.0, 1.0)
+        f64::from_bits(self.pruned_rates[idx].load(Ordering::Relaxed)).clamp(0.0, 1.0)
     }
 
     /// Heap footprint of the planner's tables.
@@ -1120,33 +990,24 @@ impl Planner {
     /// items. Every arm carries the fixed per-query floor so ratios of
     /// actual to predicted cost stay bounded even for near-free queries.
     ///
-    /// The learned early-termination rates of the arm's `(algorithm,
-    /// θ-bucket)` cell discount the analytical terms: the scan terms by
-    /// the observed posting-window skip rate (a window-skipped posting is
-    /// two binary-search probes amortized over the whole list — ~free),
-    /// and the validation terms by `0.7 ×` the observed pruning rate (an
-    /// aborted validation still pays the chunks before its early exit, so
-    /// at most 70 % of a validation is ever saved). A fresh planner has
-    /// both rates at 0 and prices exactly the unscaled model.
+    /// The learned validation-pruning rate of the arm's `(algorithm,
+    /// θ-bucket)` cell discounts the validation terms by `0.7 ×` that
+    /// rate (an aborted validation still pays the chunks before its early
+    /// exit, so at most 70 % of a validation is ever saved). A fresh
+    /// planner has the rate at 0 and prices exactly the unscaled model.
     fn raw_cost(&self, algorithm: Algorithm, theta_raw: u32, freqs: &[u32]) -> f64 {
         let merge = self.costs.merge_posting_ns;
         let foot = self.costs.footrule_ns;
         let base = self.k as f64 * merge * PER_ITEM_OVERHEAD_POSTINGS;
         let sum = |fs: &[u32]| fs.iter().map(|&f| f as f64).sum::<f64>();
-        let bucket = self.bucket_of(theta_raw);
-        let scan_scale = 1.0 - self.rate_cell(&self.skip_rates, algorithm, bucket);
-        let foot_scale = 1.0 - 0.7 * self.rate_cell(&self.pruned_rates, algorithm, bucket);
+        let foot_scale = 1.0 - 0.7 * self.pruned_rate(algorithm, self.bucket_of(theta_raw));
         base + match algorithm {
-            Algorithm::Fv => {
-                scan_scale * merge * sum(freqs) + foot_scale * foot * self.union_estimate(freqs)
-            }
+            Algorithm::Fv => merge * sum(freqs) + foot_scale * foot * self.union_estimate(freqs),
             Algorithm::FvDrop => {
                 let kept = &freqs[..self.kept(theta_raw).min(freqs.len())];
-                scan_scale * merge * sum(kept) + foot_scale * foot * self.union_estimate(kept)
+                merge * sum(kept) + foot_scale * foot * self.union_estimate(kept)
             }
-            Algorithm::ListMerge => {
-                scan_scale * self.listmerge_scale * LISTMERGE_POSTING_FACTOR * merge * sum(freqs)
-            }
+            Algorithm::ListMerge => LISTMERGE_POSTING_FACTOR * merge * sum(freqs),
             Algorithm::BlockedPrune => {
                 BLOCKED_POSTING_FACTOR * merge * sum(freqs)
                     + foot_scale
@@ -1170,7 +1031,7 @@ impl Planner {
                 let kept = &freqs[..prefix];
                 let scale = prefix as f64 / self.k.max(1) as f64;
                 let scanned = scale * sum(kept);
-                scan_scale * ADAPT_POSTING_FACTOR * merge * scanned
+                ADAPT_POSTING_FACTOR * merge * scanned
                     + foot_scale * foot * scanned.min(self.union_estimate(kept))
             }
             Algorithm::Coarse => self.coarse_cost[theta_raw.min(self.d_max) as usize],
@@ -1210,8 +1071,6 @@ pub(crate) struct PlannerSaved {
     pub observations: Vec<u64>,
     /// f64 bit patterns in `[0, 1]` (same cell grid).
     pub pruned_rates: Vec<u64>,
-    /// f64 bit patterns in `[0, 1]` (same cell grid).
-    pub skip_rates: Vec<u64>,
     pub explored: Vec<u64>,
     pub incumbent: Vec<u64>,
 }
@@ -1221,7 +1080,46 @@ mod tests {
     use super::*;
     use crate::engine::EngineBuilder;
     use ranksim_datasets::{nyt_like, workload, WorkloadParams};
-    use ranksim_rankings::{raw_threshold, QueryStats, RankingId};
+    use ranksim_rankings::{raw_threshold, QueryStats};
+
+    /// The measured-over-modeled correction of one (algorithm, bucket)
+    /// cell: `wall_mean / raw_mean` once the cell has warm observations,
+    /// 1.0 (pure model prior) before; clamped so it stays finite.
+    fn correction(planner: &Planner, algorithm: Algorithm, bucket: usize) -> f64 {
+        let slot = algorithm.dense_index().expect("concrete algorithm");
+        let idx = slot * THETA_BUCKETS + bucket.min(THETA_BUCKETS - 1);
+        let wall = f64::from_bits(planner.wall_means[idx].load(Ordering::Relaxed));
+        let raw = f64::from_bits(planner.raw_means[idx].load(Ordering::Relaxed));
+        if wall > 0.0 && raw > 0.0 {
+            (wall / raw).clamp(1e-3, 1e3)
+        } else {
+            1.0
+        }
+    }
+
+    /// The *uncorrected* analytical cost (calibrated ns) of one candidate
+    /// for `(query, θ)`: the model prior before any recalibration.
+    fn raw_model_cost(
+        planner: &Planner,
+        algorithm: Algorithm,
+        query: &[ItemId],
+        theta_raw: u32,
+    ) -> f64 {
+        if planner.degenerate {
+            return 0.0;
+        }
+        let mut freqs = Vec::new();
+        planner.gather(query, &mut freqs);
+        planner.raw_cost(algorithm, theta_raw, &freqs)
+    }
+
+    /// The corrected predicted cost of one candidate — what
+    /// [`Planner::plan`] compares.
+    fn predicted_cost(planner: &Planner, algorithm: Algorithm, q: &[ItemId], theta: u32) -> f64 {
+        let raw = raw_model_cost(planner, algorithm, q, theta);
+        let slot = algorithm.dense_index().expect("concrete algorithm");
+        planner.cell_price(slot, planner.bucket_of(theta), raw)
+    }
 
     fn planner_for(n: usize, candidates: &[Algorithm]) -> (crate::engine::Engine, QueryScratch) {
         let ds = nyt_like(n, 10, 77);
@@ -1290,7 +1188,7 @@ mod tests {
             assert_eq!(d.bucket, planner.bucket_of(theta));
             // The decision is the argmin over the candidate prices.
             for alg in Algorithm::ALL {
-                let c = planner.predicted_cost(alg, &q, theta, &mut scratch);
+                let c = predicted_cost(planner, alg, &q, theta);
                 assert!(
                     c >= d.predicted_ns - 1e-9,
                     "{alg} priced below the chosen {} at θ={theta}",
@@ -1349,7 +1247,7 @@ mod tests {
     fn corrections_stay_within_clamps_and_start_at_one() {
         let (engine, mut scratch) = planner_for(400, &[Algorithm::Fv, Algorithm::Coarse]);
         let planner = engine.planner().unwrap();
-        assert_eq!(planner.correction(Algorithm::Fv, 0), 1.0);
+        assert_eq!(correction(planner, Algorithm::Fv, 0), 1.0);
         let q: Vec<ItemId> = engine
             .store()
             .items(ranksim_rankings::RankingId(1))
@@ -1364,11 +1262,11 @@ mod tests {
         for _ in 0..200 {
             planner.record(&d, d.predicted_ns * 1e9);
         }
-        assert!(planner.correction(d.algorithm, d.bucket) <= 1e3);
+        assert!(correction(planner, d.algorithm, d.bucket) <= 1e3);
         // Degenerate wall actuals are ignored.
         planner.record(&d, f64::NAN);
         planner.record(&d, -1.0);
-        assert!(planner.correction(d.algorithm, d.bucket).is_finite());
+        assert!(correction(planner, d.algorithm, d.bucket).is_finite());
     }
 
     #[test]
@@ -1387,54 +1285,6 @@ mod tests {
         // Presentation order puts Fv before ListMerge.
         assert_eq!(d.algorithm, Algorithm::Fv);
         assert_eq!(d.predicted_ns, 0.0);
-    }
-
-    /// Posting order is an input to the ListMerge cost term: on a
-    /// suffix-bound engine the arm must price in the documented ~0.90×
-    /// locality regression (postings are no longer id-sorted, breaking
-    /// the counter-merge's sequential access), while every other arm's
-    /// prior is identical across the two orders. Pinned on both orders
-    /// so a regression in either direction (penalty lost, or penalty
-    /// leaking into unrelated arms) fails by name.
-    #[test]
-    fn listmerge_prior_prices_the_suffix_bound_locality_regression() {
-        let build = |order: PostingOrder| {
-            let ds = nyt_like(1200, 10, 21);
-            EngineBuilder::new(ds.store)
-                .coarse_threshold(0.5)
-                .coarse_drop_threshold(0.06)
-                .calibrated_costs(CalibratedCosts::nominal(10))
-                .posting_order(order)
-                .build()
-        };
-        let id_engine = build(PostingOrder::Id);
-        let sb_engine = build(PostingOrder::SuffixBound);
-        let id_planner = id_engine.planner().expect("default build plans");
-        let sb_planner = sb_engine.planner().expect("default build plans");
-        let mut scratch = id_engine.scratch();
-        let q: Vec<ItemId> = id_engine.store().items(RankingId(7)).to_vec();
-        // Loose θ — exactly where the measured regression lives.
-        for theta in [0.1, 0.2, 0.3] {
-            let raw = raw_threshold(theta, 10);
-            let id_lm = id_planner.raw_model_cost(Algorithm::ListMerge, &q, raw, &mut scratch);
-            let sb_lm = sb_planner.raw_model_cost(Algorithm::ListMerge, &q, raw, &mut scratch);
-            assert!(
-                sb_lm > id_lm,
-                "suffix-bound ListMerge must price above id-order at θ={theta}: {sb_lm} vs {id_lm}"
-            );
-            // The penalty applies to the posting term only (the fixed
-            // per-query floor is order-independent), so the priced
-            // ratio sits between 1 and the full penalty.
-            assert!(
-                sb_lm <= id_lm * LISTMERGE_SUFFIX_BOUND_PENALTY + 1e-6,
-                "penalty overshoots the documented factor at θ={theta}"
-            );
-            for arm in [Algorithm::Fv, Algorithm::FvDrop, Algorithm::Coarse] {
-                let a = id_planner.raw_model_cost(arm, &q, raw, &mut scratch);
-                let b = sb_planner.raw_model_cost(arm, &q, raw, &mut scratch);
-                assert_eq!(a, b, "{arm} prior must be posting-order-independent");
-            }
-        }
     }
 
     /// The satellite calibration check: the θ at which the *predicted*
@@ -1477,8 +1327,8 @@ mod tests {
             let mut sc = QueryStats::new();
             let mut out = Vec::new();
             for q in &wl.queries {
-                pf += planner.raw_model_cost(Algorithm::Fv, q, raw, &mut scratch);
-                pc += planner.raw_model_cost(Algorithm::Coarse, q, raw, &mut scratch);
+                pf += raw_model_cost(planner, Algorithm::Fv, q, raw);
+                pc += raw_model_cost(planner, Algorithm::Coarse, q, raw);
                 engine.query_into(Algorithm::Fv, q, raw, &mut scratch, &mut sf, &mut out);
                 engine.query_into(Algorithm::Coarse, q, raw, &mut scratch, &mut sc, &mut out);
             }

@@ -343,11 +343,6 @@ impl WorkerHello {
             bounds,
         })
     }
-
-    /// The largest ball radius (∞-free summary for reporting).
-    pub fn max_radius(&self) -> u32 {
-        self.bounds.iter().map(|b| b.radius).max().unwrap_or(0)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1079,7 +1074,6 @@ mod tests {
         assert_eq!(back.bounds[0].pivot, hello.bounds[0].pivot);
         assert_eq!(back.bounds[0].radius, 42);
         assert_eq!(back.bounds[1].radius, 6);
-        assert_eq!(back.max_radius(), 42);
 
         // Version 1 threshold replies carry no distances: refused.
         for version in [1u32, 3] {

@@ -36,7 +36,6 @@
 use crate::batch::{merge_reports, run_stealing, WorkerReport};
 use crate::engine::{knn_by_radius, Algorithm, Engine, EngineBuilder};
 use crate::planner::PlanStats;
-use ranksim_invindex::PostingOrder;
 use ranksim_rankings::{ItemId, QueryScratch, QueryStats, RankingId, RankingStore};
 use std::time::{Duration, Instant};
 
@@ -99,7 +98,6 @@ struct ShardConfig {
     selected: Option<Vec<Algorithm>>,
     calibrated: Option<crate::CalibratedCosts>,
     compact_tombstone_fraction: Option<f64>,
-    posting_order: PostingOrder,
     rebalance: RebalanceConfig,
 }
 
@@ -118,7 +116,7 @@ impl ShardConfig {
         if let Some(f) = self.compact_tombstone_fraction {
             b = b.compaction_threshold(f);
         }
-        b.posting_order(self.posting_order).build()
+        b.build()
     }
 }
 
@@ -201,7 +199,6 @@ impl ShardedEngineBuilder {
                 selected: None,
                 calibrated: None,
                 compact_tombstone_fraction: None,
-                posting_order: PostingOrder::default(),
                 rebalance: RebalanceConfig::default(),
             },
             stores: (0..num_shards).map(|_| RankingStore::new(k)).collect(),
@@ -259,13 +256,6 @@ impl ShardedEngineBuilder {
     /// builder's default when unset).
     pub fn compaction_threshold(mut self, tombstone_fraction: f64) -> Self {
         self.config.compact_tombstone_fraction = Some(tombstone_fraction);
-        self
-    }
-
-    /// CSR posting-slice ordering for every per-shard engine (see
-    /// [`EngineBuilder::posting_order`]).
-    pub fn posting_order(mut self, order: PostingOrder) -> Self {
-        self.config.posting_order = order;
         self
     }
 
@@ -413,9 +403,8 @@ impl ShardedEngine {
     }
 
     /// Per-shard heap footprint (store + every built index structure;
-    /// empty shards report 0). The memory-budget guard of the `repro`
-    /// shard experiment reports and checks these.
-    pub fn shard_heap_bytes(&self) -> Vec<usize> {
+    /// empty shards report 0).
+    fn shard_heap_bytes(&self) -> Vec<usize> {
         self.shards
             .iter()
             .map(|s| {
@@ -956,8 +945,6 @@ pub(crate) struct ShardConfigParts {
     pub selected: Option<Vec<u32>>,
     pub calibrated: Option<(f64, f64)>,
     pub compact_tombstone_fraction: Option<f64>,
-    /// [`PostingOrder::to_tag`] of the per-shard posting order.
-    pub posting_order: u32,
     pub rebalance_skew_factor: f64,
     pub rebalance_min_gap: u64,
     pub rebalance_auto: bool,
@@ -1010,7 +997,6 @@ impl ShardedEngine {
                     .calibrated
                     .map(|c| (c.footrule_ns, c.merge_posting_ns)),
                 compact_tombstone_fraction: self.config.compact_tombstone_fraction,
-                posting_order: self.config.posting_order.to_tag(),
                 rebalance_skew_factor: self.config.rebalance.skew_factor,
                 rebalance_min_gap: self.config.rebalance.min_gap as u64,
                 rebalance_auto: self.config.rebalance.auto,
@@ -1107,7 +1093,6 @@ impl ShardedEngine {
                 merge_posting_ns: m,
             }),
             compact_tombstone_fraction: config.compact_tombstone_fraction,
-            posting_order: PostingOrder::from_tag(config.posting_order)?,
             rebalance: RebalanceConfig {
                 skew_factor: config.rebalance_skew_factor,
                 min_gap: config.rebalance_min_gap as usize,

@@ -85,7 +85,7 @@ use std::time::{Duration, Instant};
 use crate::batch::panic_message;
 use crate::engine::Engine;
 use crate::persist::{load_engine, save_engine, LoadMode, PersistError, SnapshotMeta};
-use crate::wal::{read_wal, FailPoint, LogOp, RecoveryReport, SyncPolicy, WalError, WalWriter};
+use crate::wal::{read_wal, LogOp, RecoveryReport, SyncPolicy, WalError, WalWriter};
 use ranksim_rankings::{validate_items, ItemId, RankingError, RankingId};
 
 /// How long the publisher waits for straggler readers to release a
@@ -521,11 +521,7 @@ impl SnapshotEngine {
     /// Re-inserts a ranking at a released id (see
     /// [`Engine::insert_ranking_at`]; passing a non-released id is API
     /// misuse and still panics).
-    pub fn try_insert_ranking_at(
-        &self,
-        id: RankingId,
-        items: &[ItemId],
-    ) -> Result<(), MutationError> {
+    fn try_insert_ranking_at(&self, id: RankingId, items: &[ItemId]) -> Result<(), MutationError> {
         let mut w = lock_ignore_poison(&self.shared.writer);
         validate_items(items, w.master.store().k()).map_err(MutationError::Invalid)?;
         w.check_wal()?;
@@ -561,7 +557,7 @@ impl SnapshotEngine {
     /// Compacts the master and logs the compaction for the replicas.
     /// Readers are *not* blocked while replicas rebuild — that is the
     /// point of this type.
-    pub fn try_compact(&self) -> Result<(), MutationError> {
+    fn try_compact(&self) -> Result<(), MutationError> {
         let mut w = lock_ignore_poison(&self.shared.writer);
         w.check_wal()?;
         w.master.compact();
@@ -582,8 +578,8 @@ impl SnapshotEngine {
         }
     }
 
-    /// Panicking convenience for
-    /// [`SnapshotEngine::try_insert_ranking_at`].
+    /// Re-inserts a ranking at a released id (see
+    /// [`Engine::insert_ranking_at`]); panics on a mutation error.
     pub fn insert_ranking_at(&self, id: RankingId, items: &[ItemId]) {
         if let Err(e) = self.try_insert_ranking_at(id, items) {
             panic_mutation(e)
@@ -599,7 +595,9 @@ impl SnapshotEngine {
         }
     }
 
-    /// Panicking convenience for [`SnapshotEngine::try_compact`].
+    /// Compacts the master and logs the compaction for the replicas
+    /// (readers are not blocked while replicas rebuild); panics on a
+    /// mutation error.
     pub fn compact(&self) {
         if let Err(e) = self.try_compact() {
             panic_mutation(e)
@@ -614,16 +612,6 @@ impl SnapshotEngine {
             Some(wal) => wal.sync(),
             None => Ok(()),
         }
-    }
-
-    /// The WAL's fault-injection handle (`None` for a volatile
-    /// engine) — the lever the fault-injection harness arms; see
-    /// [`crate::wal::FailPoint`].
-    pub fn wal_failpoint(&self) -> Option<FailPoint> {
-        lock_ignore_poison(&self.shared.writer)
-            .wal
-            .as_ref()
-            .map(|wal| wal.failpoint())
     }
 
     /// Liveness of the engine's moving parts: publisher thread, WAL,
@@ -649,15 +637,6 @@ impl SnapshotEngine {
             published_pos: self.published_pos(),
             abandoned_generations: self.abandoned_generations(),
         }
-    }
-
-    /// Test hook: makes the publisher thread panic at its next wakeup
-    /// (exercises death detection without a contrived replay bug).
-    #[doc(hidden)]
-    pub fn inject_publisher_panic(&self) {
-        self.shared.panic_requested.store(true, Ordering::SeqCst);
-        drop(lock_ignore_poison(&self.shared.writer));
-        self.shared.pending_cv.notify_all();
     }
 
     /// The absolute log position of the last accepted mutation.
@@ -922,6 +901,22 @@ mod tests {
     use ranksim_datasets::{nyt_like, workload, WorkloadParams};
     use ranksim_rankings::{raw_threshold, QueryStats};
 
+    /// The WAL's fault-injection handle (`None` for a volatile engine).
+    fn wal_failpoint(se: &SnapshotEngine) -> Option<crate::wal::FailPoint> {
+        lock_ignore_poison(&se.shared.writer)
+            .wal
+            .as_ref()
+            .map(|wal| wal.failpoint())
+    }
+
+    /// Makes the publisher thread panic at its next wakeup (exercises
+    /// death detection without a contrived replay bug).
+    fn inject_publisher_panic(se: &SnapshotEngine) {
+        se.shared.panic_requested.store(true, Ordering::SeqCst);
+        drop(lock_ignore_poison(&se.shared.writer));
+        se.shared.pending_cv.notify_all();
+    }
+
     fn small_engine(n: usize, seed: u64) -> (Engine, u32) {
         let ds = nyt_like(n, 8, seed);
         let domain = ds.params.domain;
@@ -1113,7 +1108,7 @@ mod tests {
         let se = SnapshotEngine::with_wal(engine, &path, SyncPolicy::PerOp).unwrap();
         se.try_insert_ranking(&(3000..3008).map(ItemId).collect::<Vec<_>>())
             .unwrap();
-        se.wal_failpoint().unwrap().inject(Fault::ShortWrite(3));
+        wal_failpoint(&se).unwrap().inject(Fault::ShortWrite(3));
         let err = se
             .try_insert_ranking(&(3100..3108).map(ItemId).collect::<Vec<_>>())
             .unwrap_err();
@@ -1162,7 +1157,7 @@ mod tests {
         // a fail-stop writer that still reported a (forever-past) sync
         // deadline spun the publisher inside the writer critical
         // section, wedging health(), flush() and every write.
-        se.wal_failpoint().unwrap().inject(Fault::SyncFail);
+        wal_failpoint(&se).unwrap().inject(Fault::SyncFail);
         assert!(se.sync_wal().is_err());
         std::thread::sleep(Duration::from_millis(120));
         // Probe from a helper thread so a wedge fails the test in
@@ -1237,7 +1232,7 @@ mod tests {
     fn publisher_death_is_detected_and_flush_does_not_hang() {
         let (se, _domain) = small_snapshot_engine(70, 53);
         let before = se.snapshot();
-        se.inject_publisher_panic();
+        inject_publisher_panic(&se);
         // The publisher dies at its next wakeup; wait for detection.
         let deadline = Instant::now() + Duration::from_secs(5);
         while se.health().publisher_alive {

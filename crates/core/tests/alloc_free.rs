@@ -499,158 +499,4 @@ fn steady_state_query_into_performs_zero_allocations() {
         after - before
     );
     let _ = std::fs::remove_dir_all(&rssn_dir);
-
-    // --- Suffix-bound order × SIMD kernel -----------------------------
-    //
-    // The raw-speed configuration must keep the identical contract: the
-    // rank-window scan is two `partition_point` probes into the prebuilt
-    // CSR rank arrays and the chunked kernel works over the scratch's
-    // flat position map, so neither may add per-query heap work — on the
-    // monolith, on the sharded engine, or on a snapshot-loaded engine
-    // (whose postings come back suffix-bound-ordered straight from the
-    // container, never re-sorted on load). The θ grid starts at raw 0,
-    // below the maximum rank displacement, so the window path (skipped
-    // postings included) is genuinely exercised, and result masses must
-    // match the insertion-ordered engines above bit-for-bit.
-    use ranksim_invindex::PostingOrder;
-
-    let ds2 = nyt_like(1500, 10, 99); // same corpus as `engine`/`sharded`
-    let mut xsharded_builder = ShardedEngineBuilder::new(10, 3, ShardStrategy::Hash)
-        .coarse_threshold(0.5)
-        .coarse_drop_threshold(0.06)
-        .posting_order(PostingOrder::SuffixBound);
-    xsharded_builder.extend_from_store(&ds2.store);
-    let xsharded = xsharded_builder.build();
-    let xengine = EngineBuilder::new(ds2.store)
-        .coarse_threshold(0.5)
-        .coarse_drop_threshold(0.06)
-        .posting_order(PostingOrder::SuffixBound)
-        .build();
-    assert_eq!(xengine.posting_order(), PostingOrder::SuffixBound);
-
-    let run_suffix_grid = |engine: &ranksim_core::engine::Engine,
-                           scratch: &mut _,
-                           out: &mut Vec<_>,
-                           stats: &mut QueryStats| {
-        let mut total = 0usize;
-        for alg in Algorithm::ALL.iter().copied().chain([Algorithm::Auto]) {
-            for &raw in &thetas {
-                for q in &wl.queries {
-                    engine.query_into(alg, q, raw, scratch, stats, out);
-                    total += out.len();
-                }
-            }
-        }
-        total
-    };
-    let mut xscratch = xengine.scratch();
-    let mut xout = Vec::new();
-    let mut xstats = QueryStats::new();
-    let xwarm1 = run_suffix_grid(&xengine, &mut xscratch, &mut xout, &mut xstats);
-    let xwarm2 = run_suffix_grid(&xengine, &mut xscratch, &mut xout, &mut xstats);
-    assert_eq!(xwarm1, xwarm2, "deterministic workload expected");
-    assert_eq!(
-        xwarm1,
-        warm1 + awarm1,
-        "suffix-bound + SIMD must return the insertion-ordered engine's \
-         result mass (concrete algorithms + Auto)"
-    );
-    assert!(
-        xstats.postings_skipped > 0,
-        "the tight end of the θ grid must exercise the rank window"
-    );
-
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let xmeasured = run_suffix_grid(&xengine, &mut xscratch, &mut xout, &mut xstats);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(xmeasured, xwarm1);
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state suffix-bound + SIMD queries must not touch the \
-         allocator ({} allocations during the measured pass)",
-        after - before
-    );
-
-    let run_xsharded_grid =
-        |scratch: &mut ranksim_core::ShardedScratch, out: &mut Vec<_>, stats: &mut _| {
-            let mut total = 0usize;
-            for alg in Algorithm::ALL.iter().copied().chain([Algorithm::Auto]) {
-                for &raw in &thetas {
-                    for q in &wl.queries {
-                        xsharded.query_into(alg, q, raw, scratch, stats, out);
-                        total += out.len();
-                    }
-                }
-            }
-            total
-        };
-    let mut yscratch = xsharded.scratch();
-    let mut yout = Vec::new();
-    let mut ystats = QueryStats::new();
-    let ywarm1 = run_xsharded_grid(&mut yscratch, &mut yout, &mut ystats);
-    let ywarm2 = run_xsharded_grid(&mut yscratch, &mut yout, &mut ystats);
-    assert_eq!(ywarm1, ywarm2, "deterministic workload expected");
-    assert_eq!(
-        ywarm1, xwarm1,
-        "the suffix-bound sharded engine must return the same result mass"
-    );
-
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let ymeasured = run_xsharded_grid(&mut yscratch, &mut yout, &mut ystats);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(ymeasured, ywarm1);
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state suffix-bound + SIMD sharded queries must not touch \
-         the allocator ({} allocations during the measured pass)",
-        after - before
-    );
-
-    // Persist round-trip: the container stores the posting order tag,
-    // so the loaded engine serves the exact configuration —
-    // suffix-bound rank arrays included — without a rebuild or re-sort.
-    let xrssn_path = std::env::temp_dir().join(format!(
-        "ranksim-allocfree-suffix-{}.rssn",
-        std::process::id()
-    ));
-    ranksim_core::save_engine(&xrssn_path, &xengine, ranksim_core::SnapshotMeta::default())
-        .expect("save suffix-bound snapshot");
-    let (xloaded, _) = ranksim_core::load_engine(&xrssn_path, ranksim_core::LoadMode::Verify)
-        .expect("load suffix-bound snapshot");
-    assert_eq!(
-        xloaded.posting_order(),
-        PostingOrder::SuffixBound,
-        "the persist round-trip must preserve the posting order"
-    );
-    let mut zscratch = xloaded.scratch();
-    let mut zout = Vec::new();
-    let mut zstats = QueryStats::new();
-    let zwarm1 = run_suffix_grid(&xloaded, &mut zscratch, &mut zout, &mut zstats);
-    let zwarm2 = run_suffix_grid(&xloaded, &mut zscratch, &mut zout, &mut zstats);
-    assert_eq!(zwarm1, zwarm2, "deterministic workload expected");
-    assert_eq!(
-        zwarm1, xwarm1,
-        "the loaded suffix-bound engine must return the saved result mass"
-    );
-    assert!(
-        zstats.postings_skipped > 0,
-        "the loaded engine's rank window must skip postings — proof the \
-         suffix ordering survived the round-trip"
-    );
-
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let zmeasured = run_suffix_grid(&xloaded, &mut zscratch, &mut zout, &mut zstats);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(zmeasured, zwarm1);
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state queries on a snapshot-loaded suffix-bound engine \
-         must not touch the allocator ({} allocations during the \
-         measured pass)",
-        after - before
-    );
-    let _ = std::fs::remove_file(&xrssn_path);
 }

@@ -178,11 +178,12 @@ fn future_format_version_is_refused_by_name() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// Version 2 files carry a top-k tree section and two build flags, and
-/// version 3 files carry a kernel tag and a planner refresh budget, that
-/// this reader no longer knows: a snapshot and a sharded manifest stamped
-/// with either are refused by version, in both load modes, before any
-/// section is decoded.
+/// Version 2 files carry a top-k tree section and two build flags,
+/// version 3 files a kernel tag and a planner refresh budget, and
+/// version 4 files a posting-order tag, rank planes, coarse medoid tables
+/// and planner skip rates, that this reader no longer knows: a snapshot
+/// and a sharded manifest stamped with any of them are refused by
+/// version, in both load modes, before any section is decoded.
 #[test]
 fn previous_format_version_is_refused_for_snapshot_and_manifest() {
     let dir = std::env::temp_dir().join(format!(
@@ -192,7 +193,7 @@ fn previous_format_version_is_refused_for_snapshot_and_manifest() {
     let mut builder = ShardedEngineBuilder::new(6, 2, ShardStrategy::Hash);
     builder.extend_from_store(&nyt_like(24, 6, 3).store);
     save_sharded(&dir, &builder.build()).expect("save sharded probe");
-    for old in [2u32, 3] {
+    for old in [2u32, 3, 4] {
         let (_, path) = probe_snapshot("previous-version");
         stamp_version(&path, old);
         for mode in [LoadMode::Verify, LoadMode::Trust] {
@@ -205,10 +206,12 @@ fn previous_format_version_is_refused_for_snapshot_and_manifest() {
         std::fs::remove_file(&path).unwrap();
 
         stamp_version(&manifest_file(&dir), old);
-        assert!(matches!(
-            load_sharded(&dir, LoadMode::Verify),
-            Err(PersistError::UnsupportedVersion(v)) if v == old
-        ));
+        for mode in [LoadMode::Verify, LoadMode::Trust] {
+            assert!(matches!(
+                load_sharded(&dir, mode),
+                Err(PersistError::UnsupportedVersion(v)) if v == old
+            ));
+        }
         assert!(matches!(
             load_sharded_manifest(&dir),
             Err(PersistError::UnsupportedVersion(v)) if v == old

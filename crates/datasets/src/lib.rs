@@ -29,10 +29,8 @@ pub use workload::{perturb_ranking, PerturbParams};
 pub use workload::{workload, Workload, WorkloadParams};
 pub use zipf::{estimate_zipf_s, ZipfSampler};
 
-/// Parameters of the NYT-like preset (see [`nyt_like`]); exposed so
-/// paper-scale corpora can be **streamed** through
-/// [`ClusteredZipfGenerator::for_each`] instead of materialized.
-pub fn nyt_like_params(n: usize, k: usize, seed: u64) -> GeneratorParams {
+/// Parameters of the NYT-like preset (see [`nyt_like`]).
+fn nyt_like_params(n: usize, k: usize, seed: u64) -> GeneratorParams {
     GeneratorParams {
         name: format!("nyt-like(n={n},k={k})"),
         n,
@@ -51,7 +49,7 @@ pub fn nyt_like_params(n: usize, k: usize, seed: u64) -> GeneratorParams {
 }
 
 /// Parameters of the Yago-like preset (see [`yago_like`]).
-pub fn yago_like_params(n: usize, k: usize, seed: u64) -> GeneratorParams {
+fn yago_like_params(n: usize, k: usize, seed: u64) -> GeneratorParams {
     GeneratorParams {
         name: format!("yago-like(n={n},k={k})"),
         n,

@@ -7,10 +7,11 @@
 //! without ever touching the ranking store. Postings live in a CSR layout
 //! (see [`crate::PlainInvertedIndex`]): one contiguous array addressed by
 //! dense-item offsets, so ListMerge's k cursors walk one flat allocation.
+//! Each item's slice is id-sorted, which ListMerge's aggregation relies
+//! on for its sequential cell access and its id-sorted output.
 
 use std::sync::Arc;
 
-use crate::order::PostingOrder;
 use ranksim_rankings::{ItemId, ItemRemap, RankingId, RankingStore};
 
 /// One posting: a ranking containing the item, and the rank it holds there.
@@ -34,9 +35,8 @@ pub struct AugmentedInvertedIndex {
     remap: Arc<ItemRemap>,
     /// `offsets[d]..offsets[d + 1]` is the postings slice of dense item `d`.
     offsets: Vec<u32>,
-    /// All postings, item-major, ordered per `order` within each item.
+    /// All postings, item-major, id-sorted within each item.
     postings: Vec<Posting>,
-    order: PostingOrder,
     indexed: usize,
     num_items: usize,
 }
@@ -58,19 +58,6 @@ impl AugmentedInvertedIndex {
         store: &RankingStore,
         remap: Arc<ItemRemap>,
         ids: I,
-    ) -> Self {
-        Self::build_with_remap_ordered(store, remap, ids, PostingOrder::Id)
-    }
-
-    /// [`AugmentedInvertedIndex::build_with_remap`] with an explicit
-    /// posting ordering; [`PostingOrder::SuffixBound`] sorts each item's
-    /// slice by `(rank, id)` so ListMerge can restrict its merge to the
-    /// `[q_rank − θ, q_rank + θ]` rank window.
-    pub fn build_with_remap_ordered<I: IntoIterator<Item = RankingId>>(
-        store: &RankingStore,
-        remap: Arc<ItemRemap>,
-        ids: I,
-        order: PostingOrder,
     ) -> Self {
         let ids: Vec<RankingId> = ids.into_iter().collect();
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must ascend");
@@ -109,19 +96,12 @@ impl AugmentedInvertedIndex {
                 cursors[d] += 1;
             }
         }
-        if order == PostingOrder::SuffixBound {
-            for d in 0..m {
-                let (s, e) = (offsets[d] as usize, offsets[d + 1] as usize);
-                postings[s..e].sort_unstable_by_key(|p| (p.rank, p.id));
-            }
-        }
         let num_items = (0..m).filter(|&d| offsets[d] < offsets[d + 1]).count();
         AugmentedInvertedIndex {
             k: store.k(),
             remap,
             offsets,
             postings,
-            order,
             indexed: ids.len(),
             num_items,
         }
@@ -146,12 +126,6 @@ impl AugmentedInvertedIndex {
     #[inline]
     pub fn remap(&self) -> &Arc<ItemRemap> {
         &self.remap
-    }
-
-    /// The per-item entry ordering this index was built with.
-    #[inline]
-    pub fn order(&self) -> PostingOrder {
-        self.order
     }
 
     /// The whole contiguous postings array (ListMerge slices it through
@@ -208,7 +182,6 @@ impl AugmentedInvertedIndex {
         AugmentedIndexParts {
             k: self.k as u32,
             indexed: self.indexed as u32,
-            order: self.order,
             offsets: self.offsets.clone(),
             ids,
             ranks,
@@ -226,10 +199,6 @@ impl AugmentedInvertedIndex {
         let k = parts.k as usize;
         if let Some(bad) = parts.ranks.iter().find(|&&r| r as usize >= k.max(1)) {
             return Err(format!("posting rank {bad} out of bounds for k {k}"));
-        }
-        if parts.order == PostingOrder::SuffixBound {
-            // Validated, never re-sorted on load.
-            crate::plain::validate_rank_sorted(&parts.offsets, &parts.ranks, &parts.ids)?;
         }
         let postings = parts
             .ids
@@ -249,7 +218,6 @@ impl AugmentedInvertedIndex {
             remap,
             offsets: parts.offsets,
             postings,
-            order: parts.order,
             indexed: parts.indexed as usize,
             num_items,
         })
@@ -262,7 +230,6 @@ impl AugmentedInvertedIndex {
 pub struct AugmentedIndexParts {
     pub k: u32,
     pub indexed: u32,
-    pub order: PostingOrder,
     pub offsets: Vec<u32>,
     pub ids: Vec<u32>,
     pub ranks: Vec<u32>,
@@ -315,50 +282,6 @@ mod tests {
             assert_eq!(via_range, via_list);
         }
         assert_eq!(idx.list_range(ItemId(9999)), (0, 0));
-    }
-
-    #[test]
-    fn suffix_bound_build_sorts_each_list_by_rank_then_id() {
-        let store = random_store(150, 7, 60, 4);
-        let id_idx = AugmentedInvertedIndex::build(&store);
-        let sb_idx = AugmentedInvertedIndex::build_with_remap_ordered(
-            &store,
-            Arc::new(ItemRemap::build(&store)),
-            store.live_ids(),
-            PostingOrder::SuffixBound,
-        );
-        assert_eq!(sb_idx.order(), PostingOrder::SuffixBound);
-        for item in 0..60u32 {
-            let list = match sb_idx.list(ItemId(item)) {
-                Some(l) => l,
-                None => continue,
-            };
-            for w in list.windows(2) {
-                assert!((w[0].rank, w[0].id) < (w[1].rank, w[1].id));
-            }
-            for p in list {
-                assert_eq!(store.items(p.id)[p.rank as usize], ItemId(item));
-            }
-            let mut a: Vec<Posting> = list.to_vec();
-            a.sort_unstable_by_key(|p| p.id);
-            assert_eq!(a, id_idx.list(ItemId(item)).unwrap());
-        }
-        // Parts round-trip keeps the ordering; a tampered arena is
-        // rejected instead of silently re-sorted.
-        let rt = AugmentedInvertedIndex::from_parts(sb_idx.export_parts(), sb_idx.remap().clone())
-            .unwrap();
-        assert_eq!(rt.postings(), sb_idx.postings());
-        assert_eq!(rt.order(), PostingOrder::SuffixBound);
-        let mut bad = sb_idx.export_parts();
-        let flip = bad
-            .offsets
-            .windows(2)
-            .position(|w| w[1] - w[0] >= 2)
-            .map(|d| bad.offsets[d] as usize)
-            .unwrap();
-        bad.ids.swap(flip, flip + 1);
-        bad.ranks.swap(flip, flip + 1);
-        assert!(AugmentedInvertedIndex::from_parts(bad, sb_idx.remap().clone()).is_err());
     }
 
     #[test]

@@ -151,12 +151,6 @@ impl BlockedInvertedIndex {
         }
     }
 
-    /// Whether the index holds any posting for `item`.
-    #[inline]
-    pub fn contains_item(&self, item: ItemId) -> bool {
-        self.list_len(item) > 0
-    }
-
     /// Exact heap footprint in bytes (Table 6 reporting).
     pub fn heap_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
@@ -269,7 +263,7 @@ mod tests {
         assert_eq!(idx.block(ItemId(2), 0), &[RankingId(1)]);
         assert_eq!(idx.block(ItemId(2), 1), &[RankingId(0)]);
         // …while unmapped items have none, rather than a panicking build.
-        assert!(!idx.contains_item(ItemId(3)));
+        assert_eq!(idx.list_len(ItemId(3)), 0);
         assert_eq!(idx.list_len(ItemId(4)), 0);
         assert_eq!(idx.block(ItemId(4), 0), &[] as &[RankingId]);
     }

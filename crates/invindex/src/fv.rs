@@ -18,7 +18,6 @@
 //! allocate a scratch per call.
 
 use crate::drop::keep_positions_into;
-use crate::order::{rank_window, PostingOrder};
 use crate::plain::PlainInvertedIndex;
 use ranksim_rankings::{ItemId, QueryScratch, QueryStats, RankingId, RankingStore};
 
@@ -150,19 +149,11 @@ pub fn filter_validate_positions(
 /// then validates each candidate with one flat-map distance evaluation.
 /// Appends `(id, distance)` pairs to `out`.
 ///
-/// On a [`PostingOrder::SuffixBound`] index the filter scans only the
-/// `[q_rank − θ, q_rank + θ]` rank window of each list: a candidate whose
-/// *every* shared item sits outside its window contributes `> θ` through
-/// any one of those items alone (the matched Footrule term is
-/// `|rank − q_rank|`), so never marking it cannot lose a result — any
-/// within-θ candidate is marked through some in-window item. Skipped
-/// entries land in `postings_skipped` rather than `entries_scanned`.
 /// Validation runs through
 /// [`ranksim_rankings::scratch::FlatPositionMap::distance_within`]; a
 /// pruned walk (`None`) is a proven miss counted in `validations_pruned`.
-/// Result sets are bit-identical across orderings.
 #[allow(clippy::too_many_arguments)]
-pub fn filter_validate_positions_into(
+fn filter_validate_positions_into(
     index: &PlainInvertedIndex,
     store: &RankingStore,
     query: &[ItemId],
@@ -175,32 +166,16 @@ pub fn filter_validate_positions_into(
     debug_assert_eq!(index.k(), query.len());
     let remap = index.remap();
     let QueryScratch { qmap, marks, .. } = scratch;
-    // Filtering phase: union of the selected postings lists (windowed on
-    // a suffix-bound-ordered index).
+    // Filtering phase: union of the selected postings lists.
     marks.begin(store.len());
-    if index.order() == PostingOrder::SuffixBound {
-        for &p in positions {
-            if let Some((ids, ranks)) = index.list_with_ranks(query[p]) {
-                let (s, e) = rank_window(ranks, p as u32, theta_raw);
-                stats.count_list(e - s);
-                stats.postings_skipped += (ids.len() - (e - s)) as u64;
-                for &id in &ids[s..e] {
-                    marks.mark(id.0);
-                }
-            } else {
-                stats.count_list(0);
+    for &p in positions {
+        if let Some(list) = index.list(query[p]) {
+            stats.count_list(list.len());
+            for &id in list {
+                marks.mark(id.0);
             }
-        }
-    } else {
-        for &p in positions {
-            if let Some(list) = index.list(query[p]) {
-                stats.count_list(list.len());
-                for &id in list {
-                    marks.mark(id.0);
-                }
-            } else {
-                stats.count_list(0);
-            }
+        } else {
+            stats.count_list(0);
         }
     }
     stats.candidates += marks.len() as u64;
@@ -258,30 +233,6 @@ pub fn filter_validate_relaxed_into(
         out,
     );
     scratch.positions = positions;
-}
-
-/// Allocating wrapper around [`filter_validate_relaxed_into`].
-pub fn filter_validate_relaxed(
-    index: &PlainInvertedIndex,
-    store: &RankingStore,
-    query: &[ItemId],
-    relaxed_theta_raw: u32,
-    drop_lists: bool,
-    stats: &mut QueryStats,
-) -> Vec<(RankingId, u32)> {
-    let mut scratch = QueryScratch::new();
-    let mut out = Vec::new();
-    filter_validate_relaxed_into(
-        index,
-        store,
-        query,
-        relaxed_theta_raw,
-        drop_lists,
-        &mut scratch,
-        stats,
-        &mut out,
-    );
-    out
 }
 
 #[cfg(test)]
@@ -385,92 +336,22 @@ mod tests {
         let q = perturbed_query(&store, RankingId(10), 40, 77);
         let qmap = PositionMap::new(&q);
         let mut stats = QueryStats::new();
-        for (id, d) in filter_validate_relaxed(&index, &store, &q, 20, false, &mut stats) {
+        let mut out = Vec::new();
+        let mut scratch = QueryScratch::new();
+        filter_validate_relaxed_into(
+            &index,
+            &store,
+            &q,
+            20,
+            false,
+            &mut scratch,
+            &mut stats,
+            &mut out,
+        );
+        for (id, d) in out {
             assert_eq!(d, qmap.distance_to(store.items(id)));
             assert!(d <= 20);
         }
-    }
-
-    #[test]
-    fn every_order_and_kernel_combination_equals_scan() {
-        use crate::order::PostingOrder;
-        use ranksim_rankings::ItemRemap;
-        use std::sync::Arc;
-        let store = random_store(300, 7, 60, 400);
-        let remap = Arc::new(ItemRemap::build(&store));
-        let indices = [
-            PlainInvertedIndex::build_with_remap_ordered(
-                &store,
-                remap.clone(),
-                store.live_ids(),
-                PostingOrder::Id,
-            ),
-            PlainInvertedIndex::build_with_remap_ordered(
-                &store,
-                remap.clone(),
-                store.live_ids(),
-                PostingOrder::SuffixBound,
-            ),
-        ];
-        let mut scratch = QueryScratch::new();
-        for seed in 0..10u64 {
-            let q = perturbed_query(&store, RankingId((seed * 29 % 300) as u32), 60, seed);
-            for theta in [0.0, 0.1, 0.2, 0.4] {
-                let raw = raw_threshold(theta, 7);
-                for index in &indices {
-                    let mut stats = QueryStats::new();
-                    let mut out = Vec::new();
-                    filter_validate_into(
-                        index,
-                        &store,
-                        &q,
-                        raw,
-                        &mut scratch,
-                        &mut stats,
-                        &mut out,
-                    );
-                    assert_equals_scan(&store, &q, raw, out);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn suffix_bound_window_skips_postings_without_losing_results() {
-        use crate::order::PostingOrder;
-        use ranksim_rankings::ItemRemap;
-        use std::sync::Arc;
-        let store = random_store(500, 10, 80, 500);
-        let remap = Arc::new(ItemRemap::build(&store));
-        let sb = PlainInvertedIndex::build_with_remap_ordered(
-            &store,
-            remap.clone(),
-            store.live_ids(),
-            PostingOrder::SuffixBound,
-        );
-        let plain = PlainInvertedIndex::build_with_remap(&store, remap, store.live_ids());
-        let q = perturbed_query(&store, RankingId(123), 80, 9);
-        let raw = raw_threshold(0.05, 10);
-        let mut s_sb = QueryStats::new();
-        let mut s_id = QueryStats::new();
-        let a = filter_validate(&plain, &store, &q, raw, &mut s_id);
-        let mut scratch = QueryScratch::new();
-        let mut b = Vec::new();
-        filter_validate_into(&sb, &store, &q, raw, &mut scratch, &mut s_sb, &mut b);
-        let mut a = a;
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        assert!(
-            s_sb.postings_skipped > 0,
-            "tight θ must window out postings"
-        );
-        assert!(s_sb.entries_scanned < s_id.entries_scanned);
-        assert_eq!(
-            s_sb.entries_scanned + s_sb.postings_skipped,
-            s_id.entries_scanned,
-            "windowing partitions the scan, it never drops postings silently"
-        );
     }
 
     #[test]

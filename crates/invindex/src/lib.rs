@@ -33,7 +33,6 @@ pub mod executors;
 pub mod fv;
 pub mod listmerge;
 pub mod minimal;
-pub mod order;
 pub mod plain;
 
 #[doc(hidden)]
@@ -46,11 +45,8 @@ pub use drop::{keep_positions, keep_positions_into, omega};
 pub use executors::{BlockedPruneExecutor, FvDropExecutor, FvExecutor, ListMergeExecutor};
 pub use minimal::MinimalFv;
 #[doc(hidden)]
-pub use order::rank_window;
-pub use order::{ParsePostingOrderError, PostingOrder};
+pub use plain::PlainIndexParts;
 pub use plain::PlainInvertedIndex;
-#[doc(hidden)]
-pub use plain::{validate_rank_sorted, PlainIndexParts};
 
 #[cfg(test)]
 pub(crate) mod testutil {

@@ -22,11 +22,11 @@
 //! probe of a flat array, so the whole query costs `O(Σ list lengths)`
 //! instead of `O(k · #distinct ids)` (about 3.4× faster than the
 //! hashmap merge on the NYT-like workload; see `docs/perf.md`). Like the
-//! merge, it uses no hash map, performs zero distance calls, and never
-//! touches the store; results are emitted id-sorted as before.
+//! merge, it reads every posting of the k lists, uses no hash map,
+//! performs zero distance calls, and never touches the store; results
+//! are emitted id-sorted.
 
 use crate::augmented::AugmentedInvertedIndex;
-use crate::order::PostingOrder;
 use ranksim_rankings::{one_side_total, ItemId, QueryScratch, QueryStats, RankingId, RankingStore};
 
 /// ListMerge: returns all indexed rankings within `theta_raw` of the query.
@@ -52,18 +52,6 @@ pub fn list_merge(
 }
 
 /// Scratch-reusing ListMerge; appends results (id-ascending) to `out`.
-///
-/// On a [`PostingOrder::SuffixBound`] index the aggregation walks only
-/// the `[q_rank − θ, q_rank + θ]` rank window of each list. Skipping a
-/// posting `(id, rank)` with `|rank − q_rank| > θ` is sound: if it was
-/// the candidate's only overlap, its true distance already exceeds θ
-/// through that matched term alone; if the candidate has other in-window
-/// overlaps, the finalization treats the skipped item as unmatched on
-/// both sides, which *over*-estimates its contribution
-/// (`(k − q_rank) + (k − rank) ≥ |rank − q_rank|`) — so the computed
-/// distance is ≥ the true distance, which is itself `> θ`. Either way
-/// the candidate fails the threshold exactly as it must. Skipped entries
-/// land in `postings_skipped` rather than `entries_scanned`.
 pub fn list_merge_into(
     index: &AugmentedInvertedIndex,
     store: &RankingStore,
@@ -77,7 +65,6 @@ pub fn list_merge_into(
     let k = store.k() as u32;
     let t_k = one_side_total(store.k());
     let postings = index.postings();
-    let ordered = index.order() == PostingOrder::SuffixBound;
     let QueryScratch { cells, .. } = scratch;
     // Aggregation phase: every posting books its exact, τ-side and q-side
     // contribution into the candidate's cell.
@@ -85,15 +72,7 @@ pub fn list_merge_into(
     for (q_rank, &item) in query.iter().enumerate() {
         let (start, end) = index.list_range(item);
         let q_rank = q_rank as u32;
-        let mut list = &postings[start as usize..end as usize];
-        if ordered {
-            let lo = q_rank.saturating_sub(theta_raw);
-            let hi = q_rank.saturating_add(theta_raw);
-            let s = list.partition_point(|p| p.rank < lo);
-            let e = s + list[s..].partition_point(|p| p.rank <= hi);
-            stats.postings_skipped += (list.len() - (e - s)) as u64;
-            list = &list[s..e];
-        }
+        let list = &postings[start as usize..end as usize];
         stats.count_list(list.len());
         for p in list {
             let c = cells.probe(p.id.0);
@@ -176,41 +155,6 @@ mod tests {
         let mut stats = QueryStats::new();
         let got = list_merge(&index, &store, &q, 30, &mut stats);
         assert!(got.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn suffix_bound_merge_equals_id_sorted_merge() {
-        use ranksim_rankings::ItemRemap;
-        use std::sync::Arc;
-        let store = random_store(400, 8, 70, 402);
-        let remap = Arc::new(ItemRemap::build(&store));
-        let id_idx =
-            AugmentedInvertedIndex::build_with_remap(&store, remap.clone(), store.live_ids());
-        let sb_idx = AugmentedInvertedIndex::build_with_remap_ordered(
-            &store,
-            remap,
-            store.live_ids(),
-            PostingOrder::SuffixBound,
-        );
-        let mut skipped_any = false;
-        for seed in 0..10u64 {
-            let q = perturbed_query(&store, RankingId((seed * 37 % 400) as u32), 70, seed);
-            for theta in [0.0, 0.05, 0.15, 0.3, 0.8] {
-                let raw = raw_threshold(theta, 8);
-                let mut s_id = QueryStats::new();
-                let mut s_sb = QueryStats::new();
-                let a = list_merge(&id_idx, &store, &q, raw, &mut s_id);
-                let b = list_merge(&sb_idx, &store, &q, raw, &mut s_sb);
-                assert_eq!(a, b, "seed {seed} θ {theta}");
-                assert_eq!(
-                    s_sb.entries_scanned + s_sb.postings_skipped,
-                    s_id.entries_scanned,
-                    "windowing partitions the scan"
-                );
-                skipped_any |= s_sb.postings_skipped > 0;
-            }
-        }
-        assert!(skipped_any, "tight thresholds must exercise the window");
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! [`ItemRemap`] turns an item id into a dense coordinate, `offsets`
 //! addresses that item's slice of one contiguous `postings` array. A query
 //! item's list is therefore two loads and a slice — no hash probe, no
-//! per-item heap allocation.
+//! per-item heap allocation. Each slice is id-sorted: the one posting
+//! layout every inverted-index algorithm of the paper scans.
 
 use std::sync::Arc;
 
-use crate::order::PostingOrder;
 use ranksim_rankings::{ItemId, ItemRemap, RankingId, RankingStore};
 
 /// The classic set-valued-attribute inverted index (paper Section 4).
@@ -21,14 +21,8 @@ pub struct PlainInvertedIndex {
     remap: Arc<ItemRemap>,
     /// `offsets[d]..offsets[d + 1]` is the postings slice of dense item `d`.
     offsets: Vec<u32>,
-    /// All postings, item-major, ordered per `order` within each item.
+    /// All postings, item-major, id-sorted within each item.
     postings: Vec<RankingId>,
-    /// Parallel per-posting rank plane; **empty** under
-    /// [`PostingOrder::Id`] (the classic layout pays nothing for the
-    /// feature), same length as `postings` under
-    /// [`PostingOrder::SuffixBound`].
-    ranks: Vec<u32>,
-    order: PostingOrder,
     indexed: usize,
     num_items: usize,
 }
@@ -55,20 +49,6 @@ impl PlainInvertedIndex {
         remap: Arc<ItemRemap>,
         ids: I,
     ) -> Self {
-        Self::build_with_remap_ordered(store, remap, ids, PostingOrder::Id)
-    }
-
-    /// [`PlainInvertedIndex::build_with_remap`] with an explicit posting
-    /// ordering. [`PostingOrder::SuffixBound`] additionally materializes a
-    /// parallel per-posting rank plane and sorts each item's slice by
-    /// `(rank, id)`, enabling threshold-window scans; the indexed content
-    /// is identical either way.
-    pub fn build_with_remap_ordered<I: IntoIterator<Item = RankingId>>(
-        store: &RankingStore,
-        remap: Arc<ItemRemap>,
-        ids: I,
-        order: PostingOrder,
-    ) -> Self {
         let ids: Vec<RankingId> = ids.into_iter().collect();
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must ascend");
         let m = remap.len();
@@ -91,43 +71,13 @@ impl PlainInvertedIndex {
         let total = *offsets.last().unwrap_or(&0) as usize;
         let mut cursors: Vec<u32> = offsets[..m].to_vec();
         let mut postings = vec![RankingId(0); total];
-        let mut ranks = if order == PostingOrder::SuffixBound {
-            vec![0u32; total]
-        } else {
-            Vec::new()
-        };
         for &id in &ids {
-            for (rank, &item) in store.items(id).iter().enumerate() {
+            for &item in store.items(id) {
                 // Must skip exactly the items the counting pass skipped.
                 let Some(d) = remap.dense(item) else { continue };
                 let d = d as usize;
-                let c = cursors[d] as usize;
-                postings[c] = id;
-                if order == PostingOrder::SuffixBound {
-                    ranks[c] = rank as u32;
-                }
+                postings[cursors[d] as usize] = id;
                 cursors[d] += 1;
-            }
-        }
-        if order == PostingOrder::SuffixBound {
-            // Re-sort each item's slice by (rank, id). Iterating `ids`
-            // ascending made every slice id-sorted, so sorting the zipped
-            // pairs is a stable re-keying; ties on rank stay id-sorted.
-            let mut tmp: Vec<(u32, RankingId)> = Vec::new();
-            for d in 0..m {
-                let (s, e) = (offsets[d] as usize, offsets[d + 1] as usize);
-                tmp.clear();
-                tmp.extend(
-                    ranks[s..e]
-                        .iter()
-                        .copied()
-                        .zip(postings[s..e].iter().copied()),
-                );
-                tmp.sort_unstable();
-                for (i, &(r, id)) in tmp.iter().enumerate() {
-                    ranks[s + i] = r;
-                    postings[s + i] = id;
-                }
             }
         }
         let num_items = (0..m).filter(|&d| offsets[d] < offsets[d + 1]).count();
@@ -136,8 +86,6 @@ impl PlainInvertedIndex {
             remap,
             offsets,
             postings,
-            ranks,
-            order,
             indexed: ids.len(),
             num_items,
         }
@@ -164,13 +112,7 @@ impl PlainInvertedIndex {
         &self.remap
     }
 
-    /// The per-item entry ordering this index was built with.
-    #[inline]
-    pub fn order(&self) -> PostingOrder {
-        self.order
-    }
-
-    /// The postings list for `item` (ordered per [`Self::order`]); `None`
+    /// The id-sorted postings list for `item`; `None`
     /// if the item is not in the corpus remap (the slice may be empty for
     /// subset builds).
     #[inline]
@@ -179,29 +121,10 @@ impl PlainInvertedIndex {
         Some(&self.postings[self.offsets[d] as usize..self.offsets[d + 1] as usize])
     }
 
-    /// The postings list of `item` together with its parallel rank plane.
-    /// Only meaningful under [`PostingOrder::SuffixBound`] (the plane is
-    /// empty otherwise, and the returned slices disagree in length).
-    #[inline]
-    pub fn list_with_ranks(&self, item: ItemId) -> Option<(&[RankingId], &[u32])> {
-        debug_assert_eq!(self.order, PostingOrder::SuffixBound);
-        let d = self.remap.dense(item)? as usize;
-        let (s, e) = (self.offsets[d] as usize, self.offsets[d + 1] as usize);
-        Some((&self.postings[s..e], &self.ranks[s..e]))
-    }
-
     /// Length of the postings list for `item` (0 if absent).
     #[inline]
     pub fn list_len(&self, item: ItemId) -> usize {
         self.list(item).map(|l| l.len()).unwrap_or(0)
-    }
-
-    /// Mean postings-list length over all items with postings.
-    pub fn avg_list_len(&self) -> f64 {
-        if self.num_items == 0 {
-            return 0.0;
-        }
-        self.postings.len() as f64 / self.num_items as f64
     }
 
     /// Exact heap footprint in bytes (Table 6 reporting): the index header,
@@ -211,7 +134,6 @@ impl PlainInvertedIndex {
         std::mem::size_of::<Self>()
             + self.offsets.capacity() * std::mem::size_of::<u32>()
             + self.postings.capacity() * std::mem::size_of::<RankingId>()
-            + self.ranks.capacity() * std::mem::size_of::<u32>()
             + self.remap.heap_bytes()
     }
 
@@ -222,10 +144,8 @@ impl PlainInvertedIndex {
         PlainIndexParts {
             k: self.k as u32,
             indexed: self.indexed as u32,
-            order: self.order,
             offsets: self.offsets.clone(),
             postings: ranksim_rankings::ranking_vec_into_u32(self.postings.clone()),
-            ranks: self.ranks.clone(),
         }
     }
 
@@ -235,28 +155,6 @@ impl PlainInvertedIndex {
     #[doc(hidden)]
     pub fn from_parts(parts: PlainIndexParts, remap: Arc<ItemRemap>) -> Result<Self, String> {
         validate_csr(&parts.offsets, parts.postings.len(), remap.len())?;
-        match parts.order {
-            PostingOrder::Id => {
-                if !parts.ranks.is_empty() {
-                    return Err("id-ordered plain index must have an empty rank plane".into());
-                }
-            }
-            PostingOrder::SuffixBound => {
-                if parts.ranks.len() != parts.postings.len() {
-                    return Err("plain index rank plane disagrees with postings".into());
-                }
-                let k = (parts.k as usize).max(1);
-                if let Some(bad) = parts.ranks.iter().find(|&&r| r as usize >= k) {
-                    return Err(format!(
-                        "posting rank {bad} out of bounds for k {}",
-                        parts.k
-                    ));
-                }
-                // Ordering is validated, never repaired: a re-sort on load
-                // would mask corruption and break zero-copy expectations.
-                validate_rank_sorted(&parts.offsets, &parts.ranks, &parts.postings)?;
-            }
-        }
         let m = remap.len();
         let num_items = (0..m)
             .filter(|&d| parts.offsets[d] < parts.offsets[d + 1])
@@ -266,8 +164,6 @@ impl PlainInvertedIndex {
             remap,
             offsets: parts.offsets,
             postings: ranksim_rankings::ranking_vec_from_u32(parts.postings),
-            ranks: parts.ranks,
-            order: parts.order,
             indexed: parts.indexed as usize,
             num_items,
         })
@@ -280,29 +176,8 @@ impl PlainInvertedIndex {
 pub struct PlainIndexParts {
     pub k: u32,
     pub indexed: u32,
-    pub order: PostingOrder,
     pub offsets: Vec<u32>,
     pub postings: Vec<u32>,
-    pub ranks: Vec<u32>,
-}
-
-/// Validates that every per-item slice is sorted ascending by
-/// `(rank, id)` — the suffix-bound layout invariant. Works for any CSR
-/// offsets array over parallel rank/id planes (the adaptsearch delta
-/// index reuses it with its strided prefix-position offsets).
-#[doc(hidden)]
-pub fn validate_rank_sorted(offsets: &[u32], ranks: &[u32], ids: &[u32]) -> Result<(), String> {
-    for d in 0..offsets.len().saturating_sub(1) {
-        let (s, e) = (offsets[d] as usize, offsets[d + 1] as usize);
-        for i in s + 1..e {
-            if (ranks[i - 1], ids[i - 1]) >= (ranks[i], ids[i]) {
-                return Err(format!(
-                    "postings of dense item {d} not (rank, id)-sorted at entry {i}"
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Validates a CSR offsets array: `m + 1` monotone entries whose last
@@ -393,82 +268,10 @@ mod tests {
         let idx = PlainInvertedIndex::build(&store);
         // lists: 1→3 entries, 2→1, 3→1, 4→1 ⇒ avg 6/4.
         assert_eq!(idx.num_items(), 4);
-        assert!((idx.avg_list_len() - 1.5).abs() < 1e-12);
+        let total: usize = (1..=4).map(|i| idx.list_len(ItemId(i))).sum();
+        assert!((total as f64 / idx.num_items() as f64 - 1.5).abs() < 1e-12);
         assert_eq!(idx.list_len(ItemId(1)), 3);
         assert_eq!(idx.list_len(ItemId(99)), 0);
-    }
-
-    #[test]
-    fn ordered_build_indexes_the_same_postings_rank_sorted() {
-        let store = random_store(200, 6, 50, 1);
-        let id_idx = PlainInvertedIndex::build(&store);
-        let sb_idx = PlainInvertedIndex::build_with_remap_ordered(
-            &store,
-            Arc::new(ItemRemap::build(&store)),
-            store.live_ids(),
-            PostingOrder::SuffixBound,
-        );
-        assert_eq!(sb_idx.order(), PostingOrder::SuffixBound);
-        assert_eq!(id_idx.order(), PostingOrder::Id);
-        for item in 0..50u32 {
-            let (ids, ranks) = match sb_idx.list_with_ranks(ItemId(item)) {
-                Some(lr) => lr,
-                None => continue,
-            };
-            assert_eq!(ids.len(), ranks.len());
-            // Slices are (rank, id)-sorted and the rank plane is truthful.
-            for i in 1..ids.len() {
-                assert!((ranks[i - 1], ids[i - 1]) < (ranks[i], ids[i]));
-            }
-            for (i, &id) in ids.iter().enumerate() {
-                assert_eq!(store.items(id)[ranks[i] as usize], ItemId(item));
-            }
-            // Same posting multiset as the id-ordered build.
-            let mut a: Vec<RankingId> = ids.to_vec();
-            a.sort_unstable();
-            assert_eq!(a, id_idx.list(ItemId(item)).unwrap());
-        }
-        // Round-trips through parts without re-sorting.
-        let rt =
-            PlainInvertedIndex::from_parts(sb_idx.export_parts(), sb_idx.remap().clone()).unwrap();
-        assert_eq!(rt.order(), PostingOrder::SuffixBound);
-        assert_eq!(
-            rt.list_with_ranks(ItemId(3)),
-            sb_idx.list_with_ranks(ItemId(3))
-        );
-    }
-
-    #[test]
-    fn from_parts_rejects_unsorted_or_mismatched_rank_planes() {
-        let mut store = RankingStore::new(3);
-        store.push_items_unchecked(&[1, 2, 3].map(ItemId));
-        store.push_items_unchecked(&[3, 2, 1].map(ItemId));
-        let remap = Arc::new(ItemRemap::build(&store));
-        let idx = PlainInvertedIndex::build_with_remap_ordered(
-            &store,
-            remap.clone(),
-            store.live_ids(),
-            PostingOrder::SuffixBound,
-        );
-        // Item 2 sits at rank 1 in both rankings: ties break by id.
-        let (ids2, ranks2) = idx.list_with_ranks(ItemId(2)).unwrap();
-        assert_eq!(ranks2, &[1, 1]);
-        assert_eq!(ids2, &[RankingId(0), RankingId(1)]);
-        // Unsorted plane → rejected, never re-sorted on load.
-        let mut bad = idx.export_parts();
-        bad.ranks.swap(0, 1);
-        bad.postings.swap(0, 1);
-        assert!(PlainInvertedIndex::from_parts(bad, remap.clone()).is_err());
-        // Plane length disagreement → rejected.
-        let mut short = idx.export_parts();
-        short.ranks.pop();
-        assert!(PlainInvertedIndex::from_parts(short, remap.clone()).is_err());
-        // Id-ordered parts must not carry a plane.
-        let mut spurious =
-            PlainInvertedIndex::build_with_remap(&store, remap.clone(), store.live_ids())
-                .export_parts();
-        spurious.ranks = vec![0; spurious.postings.len()];
-        assert!(PlainInvertedIndex::from_parts(spurious, remap).is_err());
     }
 
     #[test]

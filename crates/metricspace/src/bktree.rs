@@ -105,15 +105,12 @@ impl BkTree {
     /// Inserts ranking `id` into the subtree rooted at arena index `from`
     /// (standard BK routing starting there), returning the new node's
     /// arena index. Any BK subtree is a BK tree, so this preserves every
-    /// exact-distance edge invariant *within* that subtree — the append
-    /// path of the coarse index inserts new partition members under their
-    /// partition's medoid node this way. `subtree_size` counters are
-    /// maintained from `from` downwards only; ancestors of `from` keep
-    /// their build-time sizes (they are only read at partitioning time).
-    /// The content of `id` is resolved through the store at insertion
-    /// time and must stay frozen while the node is referenced (the
-    /// store's quarantine rule guarantees it).
-    pub fn insert_under(&mut self, store: &RankingStore, from: u32, id: RankingId) -> u32 {
+    /// exact-distance edge invariant *within* that subtree. `subtree_size`
+    /// counters are maintained from `from` downwards only. The content of
+    /// `id` is resolved through the store at insertion time and must stay
+    /// frozen while the node is referenced (the store's quarantine rule
+    /// guarantees it).
+    fn insert_under(&mut self, store: &RankingStore, from: u32, id: RankingId) -> u32 {
         let new_idx = self.nodes.len() as u32;
         let pairs = store.sorted_pairs(id);
         let k = store.k();
@@ -152,7 +149,16 @@ impl BkTree {
     ) -> Vec<RankingId> {
         let mut out = Vec::new();
         if let Some(root) = self.root() {
-            self.range_query_from(store, root, query_pairs, theta_raw, stats, &mut out);
+            let mut stack = Vec::new();
+            self.range_query_from_with(
+                store,
+                root,
+                query_pairs,
+                theta_raw,
+                &mut stack,
+                stats,
+                &mut out,
+            );
         }
         stats.results += out.len() as u64;
         out
@@ -160,23 +166,9 @@ impl BkTree {
 
     /// Range query restricted to the subtree rooted at arena index `from`
     /// (a full-fledged BK-tree itself) — the validation primitive of the
-    /// coarse index's partitions.
-    pub fn range_query_from(
-        &self,
-        store: &RankingStore,
-        from: u32,
-        query_pairs: &[(ItemId, u32)],
-        theta_raw: u32,
-        stats: &mut QueryStats,
-        out: &mut Vec<RankingId>,
-    ) {
-        let mut stack = Vec::new();
-        self.range_query_from_with(store, from, query_pairs, theta_raw, &mut stack, stats, out);
-    }
-
-    /// Like [`BkTree::range_query_from`] but traversing through a
-    /// caller-owned `stack` buffer, so repeated queries allocate nothing
-    /// (the coarse index threads its `QueryScratch` tree stack here).
+    /// coarse index's partitions. Traverses through a caller-owned
+    /// `stack` buffer, so repeated queries allocate nothing (the coarse
+    /// index threads its `QueryScratch` tree stack here).
     #[allow(clippy::too_many_arguments)]
     pub fn range_query_from_with(
         &self,
@@ -473,7 +465,15 @@ mod tests {
         let q = query_pairs(store.items(fresh));
         let mut stats = QueryStats::new();
         let mut out = Vec::new();
-        tree.range_query_from(&store, root_child, &q, 0, &mut stats, &mut out);
+        tree.range_query_from_with(
+            &store,
+            root_child,
+            &q,
+            0,
+            &mut Vec::new(),
+            &mut stats,
+            &mut out,
+        );
         assert_eq!(out, vec![fresh]);
     }
 

@@ -179,59 +179,6 @@ impl Partitioning {
         }
     }
 
-    /// Appends ranking `id` to partition `pi` — the incremental insert
-    /// path of a live corpus. The caller must have verified the radius
-    /// invariant `d(medoid, id) ≤ θ_C`. `BkSubtrees` partitions route the
-    /// new ranking from the medoid's arena node (any new direct child
-    /// edge `≤ θ_C` becomes an additional subtree root); `Tree`
-    /// partitions insert into their standalone tree.
-    pub fn insert_member(&mut self, store: &RankingStore, pi: usize, id: RankingId) {
-        debug_assert!(
-            ranksim_rankings::footrule_store(store, self.partitions[pi].medoid, id)
-                <= self.theta_c_raw,
-            "insert_member caller must uphold the radius invariant"
-        );
-        let medoid_node = self.partitions[pi].medoid_node;
-        match medoid_node {
-            Some(mnode) => {
-                let arena = self.arena.as_mut().expect("BkSubtrees partition w/o arena");
-                let had_children = arena.node(mnode).children.len();
-                let new_idx = arena.insert_under(store, mnode, id);
-                let p = &mut self.partitions[pi];
-                if arena.node(mnode).children.len() > had_children {
-                    // The insert opened a fresh edge directly under the
-                    // medoid: the new node roots a new member subtree.
-                    if let PartitionMembers::BkSubtrees(roots) = &mut p.members {
-                        roots.push(new_idx);
-                    }
-                }
-                p.size += 1;
-            }
-            None => {
-                let p = &mut self.partitions[pi];
-                if let PartitionMembers::Tree(tree) = &mut p.members {
-                    tree.insert(store, id);
-                    p.size += 1;
-                } else {
-                    unreachable!("partition without medoid_node must hold a Tree");
-                }
-            }
-        }
-    }
-
-    /// Opens a fresh partition with `id` as its medoid (and sole member)
-    /// — the insert path when no existing medoid covers the new ranking.
-    /// Returns the new partition's index.
-    pub fn push_partition(&mut self, id: RankingId) -> usize {
-        self.partitions.push(Partition {
-            medoid: id,
-            members: PartitionMembers::Tree(BkTree::new()),
-            size: 1,
-            medoid_node: None,
-        });
-        self.partitions.len() - 1
-    }
-
     /// Collects all member ids of partition `pi` (medoid first).
     pub fn members_of(&self, pi: usize) -> Vec<RankingId> {
         let p = &self.partitions[pi];
@@ -574,79 +521,6 @@ mod tests {
             assert!(p.num_partitions() <= prev);
             prev = p.num_partitions();
         }
-    }
-
-    #[test]
-    fn insert_member_and_push_partition_keep_validation_exact() {
-        let mut store = random_store(200, 6, 40, 29);
-        let theta_c = 12u32;
-        let mut part = BkPartitioner::partition(&store, theta_c);
-        // Append 40 fresh rankings through the incremental path: join a
-        // covering partition when one exists, else open a new one.
-        for i in 0..40u32 {
-            let id = if i % 2 == 0 {
-                // A near-duplicate of an existing ranking (likely covered).
-                let donor = RankingId(i % 200);
-                let mut items: Vec<ItemId> = store.items(donor).to_vec();
-                items.swap(0, 1);
-                store.push_items_unchecked(&items)
-            } else {
-                let base = 5000 + i * 6;
-                store.push_items_unchecked(
-                    &[base, base + 1, base + 2, base + 3, base + 4, base + 5].map(ItemId),
-                )
-            };
-            let covering = (0..part.num_partitions())
-                .find(|&pi| footrule_store(&store, part.partitions()[pi].medoid, id) <= theta_c);
-            match covering {
-                Some(pi) => part.insert_member(&store, pi, id),
-                None => {
-                    part.push_partition(id);
-                }
-            }
-        }
-        // Tombstone a few old members and medoids.
-        for v in [0u32, 7, 31, 100] {
-            store.remove(RankingId(v));
-        }
-        check_partitioning_live(&store, &part);
-        // Validation over all partitions equals the live-corpus scan.
-        for qid in [2u32, 205, 239] {
-            let q = query_pairs(store.items(RankingId(qid)));
-            for theta in [0u32, 10, 22] {
-                let mut stats = QueryStats::new();
-                let mut expect = linear_scan(&store, &q, theta, &mut stats);
-                let mut got = Vec::new();
-                for pi in 0..part.num_partitions() {
-                    part.validate_into(&store, pi, &q, theta, None, &mut stats, &mut got);
-                }
-                expect.sort_unstable();
-                got.sort_unstable();
-                assert_eq!(got, expect, "qid={qid} θ={theta}");
-            }
-        }
-    }
-
-    /// Like `check_partitioning` but for mutated corpora: every live
-    /// ranking in exactly one partition, radius invariant on every member.
-    fn check_partitioning_live(store: &RankingStore, p: &Partitioning) {
-        let mut seen = vec![false; store.len()];
-        let mut live_covered = 0usize;
-        for pi in 0..p.num_partitions() {
-            let medoid = p.partitions()[pi].medoid;
-            for m in p.members_of(pi) {
-                assert!(!seen[m.index()], "ranking {m} in two partitions");
-                seen[m.index()] = true;
-                if store.is_live(m) {
-                    live_covered += 1;
-                }
-                assert!(
-                    footrule_store(store, medoid, m) <= p.theta_c_raw(),
-                    "member outside θ_C"
-                );
-            }
-        }
-        assert_eq!(live_covered, store.live_len(), "uncovered live ranking");
     }
 
     #[test]

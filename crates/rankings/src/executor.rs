@@ -32,8 +32,6 @@ pub struct ExecStats {
     pub candidates: u64,
     /// Full Footrule evaluations (the paper's DFC measure).
     pub distance_calls: u64,
-    /// Posting entries bypassed by suffix-bound-ordered window scans.
-    pub postings_skipped: u64,
     /// Validations aborted early by the suffix-bound distance kernel.
     pub validations_pruned: u64,
 }
@@ -46,7 +44,6 @@ impl ExecStats {
             postings_scanned: after.entries_scanned - before.entries_scanned,
             candidates: after.candidates - before.candidates,
             distance_calls: after.distance_calls - before.distance_calls,
-            postings_skipped: after.postings_skipped - before.postings_skipped,
             validations_pruned: after.validations_pruned - before.validations_pruned,
         }
     }
@@ -56,7 +53,6 @@ impl ExecStats {
         self.postings_scanned += other.postings_scanned;
         self.candidates += other.candidates;
         self.distance_calls += other.distance_calls;
-        self.postings_skipped += other.postings_skipped;
         self.validations_pruned += other.validations_pruned;
     }
 }
@@ -98,7 +94,6 @@ mod tests {
         after.count_list(5);
         after.count_distances(3);
         after.candidates += 4;
-        after.postings_skipped += 6;
         after.validations_pruned += 2;
         let d = ExecStats::since(&before, &after);
         assert_eq!(
@@ -107,7 +102,6 @@ mod tests {
                 postings_scanned: 5,
                 candidates: 4,
                 distance_calls: 3,
-                postings_skipped: 6,
                 validations_pruned: 2,
             }
         );
@@ -117,7 +111,6 @@ mod tests {
         assert_eq!(acc.postings_scanned, 10);
         assert_eq!(acc.candidates, 8);
         assert_eq!(acc.distance_calls, 6);
-        assert_eq!(acc.postings_skipped, 12);
         assert_eq!(acc.validations_pruned, 4);
     }
 }

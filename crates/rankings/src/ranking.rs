@@ -249,12 +249,6 @@ impl RankingStore {
         self.free_len
     }
 
-    /// Number of quarantined slots (tombstoned since the last release).
-    #[inline]
-    pub fn quarantined_len(&self) -> usize {
-        self.slots.len() - self.live_len - self.free_len
-    }
-
     /// Whether the id space is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
@@ -438,25 +432,6 @@ impl RankingStore {
         self.items.capacity() * std::mem::size_of::<ItemId>()
             + self.sorted.capacity() * std::mem::size_of::<(ItemId, u32)>()
             + self.slots.capacity() * std::mem::size_of::<SlotState>()
-    }
-
-    /// Drops trailing dead slots entirely (ids included) and returns the
-    /// arenas' spare capacity to the allocator. Interior dead slots keep
-    /// their ids (ids are positional); only the tail can shrink the id
-    /// space. **Truncated tail ids will be re-assigned by future
-    /// pushes** — callers that promise monotone fresh ids (the engine's
-    /// `insert_ranking` does) must not call this; it serves owners of a
-    /// private id space, e.g. throwaway stores.
-    pub fn compact_storage(&mut self) {
-        while matches!(self.slots.last(), Some(SlotState::Free)) {
-            self.slots.pop();
-            self.free_len -= 1;
-            self.items.truncate(self.slots.len() * self.k);
-            self.sorted.truncate(self.slots.len() * self.k);
-        }
-        self.items.shrink_to_fit();
-        self.sorted.shrink_to_fit();
-        self.slots.shrink_to_fit();
     }
 
     /// Decomposes the store into its flat persistence form. The `sorted`
@@ -704,7 +679,6 @@ mod tests {
         assert!(!store.is_live(a));
         assert!(store.is_live(b));
         assert_eq!(store.live_len(), 1);
-        assert_eq!(store.quarantined_len(), 1);
         // Quarantined content stays resolvable (indexes may reference it).
         assert_eq!(store.items(a), &[1, 2, 3].map(ItemId));
         assert!(!store.is_free(a));
@@ -769,24 +743,6 @@ mod tests {
         // A hole can be populated later — same path as slot reuse.
         store.insert_items_at_unchecked(hole, &[8, 9].map(ItemId));
         assert!(store.is_live(hole));
-    }
-
-    #[test]
-    fn compact_storage_truncates_trailing_dead_slots_only() {
-        let mut store = RankingStore::new(2);
-        let a = store.push_items_unchecked(&[1, 2].map(ItemId));
-        let b = store.push_items_unchecked(&[3, 4].map(ItemId));
-        let c = store.push_items_unchecked(&[5, 6].map(ItemId));
-        store.remove(a);
-        store.remove(c);
-        store.release_removed_slots();
-        store.compact_storage();
-        // The trailing slot is gone, the interior hole must survive —
-        // ranking b's id is positional.
-        assert_eq!(store.len(), 2);
-        assert!(store.is_live(b));
-        assert_eq!(store.items(b), &[3, 4].map(ItemId));
-        assert_eq!(store.free_len(), 1);
     }
 
     #[test]

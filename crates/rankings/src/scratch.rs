@@ -221,7 +221,7 @@ impl FlatPositionMap {
 
     /// The query rank of the item with dense id `d`, if contained.
     #[inline]
-    pub fn rank_of_dense(&self, d: u32) -> Option<u32> {
+    fn rank_of_dense(&self, d: u32) -> Option<u32> {
         if self.stamps[d as usize] == self.epoch {
             Some(self.ranks[d as usize])
         } else {

@@ -22,10 +22,6 @@ pub struct QueryStats {
     pub tree_nodes_visited: u64,
     /// Results reported.
     pub results: u64,
-    /// Posting entries bypassed by suffix-bound-ordered window scans
-    /// (entries an unordered scan would have read but an ordered list
-    /// proved irrelevant without touching).
-    pub postings_skipped: u64,
     /// Validations aborted early by the suffix-bound distance kernel
     /// (candidate proven outside θ before the walk finished).
     pub validations_pruned: u64,
@@ -64,7 +60,6 @@ impl QueryStats {
         self.candidates += other.candidates;
         self.tree_nodes_visited += other.tree_nodes_visited;
         self.results += other.results;
-        self.postings_skipped += other.postings_skipped;
         self.validations_pruned += other.validations_pruned;
     }
 }
@@ -82,14 +77,12 @@ mod tests {
         b.count_distances(4);
         b.count_list(5);
         b.candidates = 3;
-        b.postings_skipped = 7;
         b.validations_pruned = 2;
         a.merge(&b);
         assert_eq!(a.distance_calls, 5);
         assert_eq!(a.lists_accessed, 2);
         assert_eq!(a.entries_scanned, 15);
         assert_eq!(a.candidates, 3);
-        assert_eq!(a.postings_skipped, 7);
         assert_eq!(a.validations_pruned, 2);
     }
 }

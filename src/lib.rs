@@ -117,7 +117,6 @@ pub mod prelude {
         RemoteStats, ShardStrategy, ShardedEngine, ShardedEngineBuilder, ShardedManifest,
         SnapshotEngine, SnapshotMeta, SyncPolicy, WorkerReport, WorkerSpec,
     };
-    pub use ranksim_invindex::PostingOrder;
     pub use ranksim_rankings::{
         footrule_pairs, raw_threshold, ExecStats, ItemId, ItemRemap, PositionMap, QueryExecutor,
         QueryScratch, QueryStats, Ranking, RankingId, RankingStore,
